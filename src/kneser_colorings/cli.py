@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
@@ -24,9 +23,6 @@ from .pseudoachromatic import MatchingGraph
 def _add_common(p):
     p.add_argument("--out", help="write the primary output to this file instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("KNESERC_THREADS", "1")),
-                   help="worker threads (reserved; all searches here run single-threaded)")
 
 
 def parse_invocation(argv):
@@ -259,8 +255,6 @@ _DISPATCH = {"construct": _cmd_construct, "verify": _cmd_verify, "bounds": _cmd_
 
 
 def execute(plan) -> int:
-    if getattr(plan, "threads", 1) < 1:
-        raise ParameterDomainError("--threads must be >= 1")
     return _DISPATCH[plan.command](plan)
 
 

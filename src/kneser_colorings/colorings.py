@@ -2,7 +2,10 @@
 
 A coloring is stored as its color classes (class i holds the vertices of
 color i+1).  Verification is exhaustive and reports the first witness of
-every violated property, in canonical vertex order.
+every violated property, in canonical (colex index) vertex order.  It works
+on bitsets: each class as a mask of vertex indices and the union of its
+members' neighbourhoods, so checking a coloring of K(n,k) takes
+O(V*k + l^2) big-int operations and never enumerates the edges.
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import CoverageError
+from .kneser import bit_indices, neighbour_bitsets
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
 
@@ -93,55 +97,61 @@ def _jsonable(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def _class_index_by_vertex(g, coloring: Coloring):
+def _class_masks(g, coloring: Coloring):
+    """Class of each vertex index, and each class as a bitset of vertex indices."""
     cls_of = [None] * g.vertex_count
+    masks = []
     for ci, cls in enumerate(coloring.classes):
         if not cls:
             raise CoverageError(f"class {ci + 1} is empty")
+        mask = 0
         for v in cls:
             i = g.index(v)
             if cls_of[i] is not None:
                 raise CoverageError(f"vertex {v} appears in two classes")
             cls_of[i] = ci
+            mask |= 1 << i
+        masks.append(mask)
     missing = [g.vertices[i] for i, c in enumerate(cls_of) if c is None]
     if missing:
         raise CoverageError(f"classes do not cover vertices, first missing {missing[0]}")
-    return cls_of
+    return cls_of, masks
 
 
 def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
     """Exhaustively verify the requested properties of a coloring on g.
 
     g is any graph object exposing vertices, vertex_count, index() and
-    edges(); completeness runs as one scan over the edge list marking seen
-    color pairs (O(E + l^2)), the other checks are per-vertex.
+    neighbour bitsets: neighbourhoods() (K(n,k), computed from its point
+    stars one vertex at a time), adjacency_bitsets() or edges().  Per class
+    c, with mask M_c and U_c the union of its members' neighbourhoods:
+    proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
+    proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
+    M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs
+    O(V*k + l^2) big-int operations.  Witnesses are the first violation in
+    colex index order: the same-class adjacent pair least by (index u,
+    index v); the least class pair; the first vertex with its lowest missing
+    color (the proper witness if improper); the first class.
     """
     checks = frozenset(checks)
     unknown = checks - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks {sorted(unknown)}")
-    cls_of = _class_index_by_vertex(g, coloring)
+    cls_of, masks = _class_masks(g, coloring)
     l = coloring.color_count
     rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())
 
-    need_edges = checks & {"proper", "complete", "grundy", "dominating"}
+    nbhds = g.neighbourhoods() if hasattr(g, "neighbourhoods") else neighbour_bitsets(g)
+    unions = [0] * l
     proper_witness = None
-    seen = [0] * l  # bitmask per class of classes seen across an edge
-    nbr_colors = None
-    if "grundy" in checks or "dominating" in checks:
-        nbr_colors = [0] * g.vertex_count
-    if need_edges:
-        for i, j in g.edges():
-            ci, cj = cls_of[i], cls_of[j]
-            if ci == cj:
-                if proper_witness is None:
-                    proper_witness = (g.vertices[i], g.vertices[j])
-            else:
-                seen[ci] |= 1 << cj
-                seen[cj] |= 1 << ci
-            if nbr_colors is not None:
-                nbr_colors[i] |= 1 << cj
-                nbr_colors[j] |= 1 << ci
+    for i, nbrs in enumerate(nbhds):
+        ci = cls_of[i]
+        unions[ci] |= nbrs
+        # the least i with a same-class neighbour starts the least pair, and
+        # that neighbour is above i, or it would have been found first
+        if proper_witness is None and nbrs & masks[ci]:
+            j = next(bit_indices(nbrs & masks[ci]))
+            proper_witness = (g.vertices[i], g.vertices[j])
 
     if "proper" in checks:
         rep.proper = proper_witness is None
@@ -149,40 +159,40 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
             rep.witnesses["proper"] = proper_witness
 
     if "complete" in checks:
-        rep.complete = True
-        for ci in range(l):
-            for cj in range(ci + 1, l):
-                if not (seen[ci] >> cj) & 1:
-                    rep.complete = False
-                    rep.witnesses["complete"] = (ci + 1, cj + 1)
-                    break
-            if not rep.complete:
-                break
+        pair = next(((a + 1, b + 1) for a in range(l) for b in range(a + 1, l)
+                     if not unions[a] & masks[b]), None)
+        rep.complete = pair is None
+        if pair:
+            rep.witnesses["complete"] = pair
 
     if "grundy" in checks:
-        ok = proper_witness is None
-        if not ok:
-            rep.witnesses.setdefault("grundy", proper_witness)
+        if proper_witness:
+            rep.grundy = False
+            rep.witnesses["grundy"] = proper_witness
         else:
-            for i in range(g.vertex_count):
-                ci = cls_of[i]
-                want = (1 << ci) - 1  # all colors below ci
-                if nbr_colors[i] & want != want:
-                    missing = next(b for b in range(ci) if not (nbr_colors[i] >> b) & 1)
-                    rep.witnesses["grundy"] = (g.vertices[i], missing + 1)
-                    ok = False
-                    break
-        rep.grundy = ok
+            late = 0  # vertices missing a color below their own
+            above = 0
+            for b in range(l - 1, -1, -1):
+                late |= above & ~unions[b]
+                above |= masks[b]
+            rep.grundy = not late
+            if late:
+                i = next(bit_indices(late))
+                missing = next(a for a in range(cls_of[i]) if not (unions[a] >> i) & 1)
+                rep.witnesses["grundy"] = (g.vertices[i], missing + 1)
 
     if "dominating" in checks:
         rep.dominating = True
-        full = (1 << l) - 1
-        for ci in range(l):
-            want = full & ~(1 << ci)
-            if not any(nbr_colors[g.index(v)] & want == want for v in coloring.classes[ci]):
+        after = [-1] * (l + 1)  # after[c]: the vertices that see every class >= c
+        for c in range(l - 1, -1, -1):
+            after[c] = after[c + 1] & unions[c]
+        before = -1
+        for c in range(l):
+            if not masks[c] & before & after[c + 1]:
                 rep.dominating = False
-                rep.witnesses["dominating"] = ci + 1
+                rep.witnesses["dominating"] = c + 1
                 break
+            before &= unions[c]
 
     return rep
 
@@ -197,6 +207,7 @@ class ConditionCReport:
     """
     sizes_ok: bool
     p3_ok: bool
+    matching_ok: bool
     singleton_points: tuple
     centers: tuple
     exceptional: tuple
@@ -204,10 +215,12 @@ class ConditionCReport:
 
     @property
     def passes(self) -> bool:
-        return self.sizes_ok and self.p3_ok and len(self.exceptional) <= 1
+        return (self.sizes_ok and self.p3_ok and self.matching_ok
+                and len(self.exceptional) <= 1)
 
     def as_dict(self):
         return {"sizes_ok": self.sizes_ok, "p3_ok": self.p3_ok,
+                "matching_ok": self.matching_ok,
                 "singleton_points": list(self.singleton_points),
                 "centers": list(self.centers),
                 "exceptional_count": len(self.exceptional),
@@ -222,6 +235,7 @@ def check_condition_C(coloring: Coloring) -> ConditionCReport:
     problems = []
     sizes_ok = True
     p3_ok = True
+    matching_ok = True
     singleton_pts = set()
     centers = []
     for ci, cls in enumerate(coloring.classes):
@@ -231,6 +245,7 @@ def check_condition_C(coloring: Coloring) -> ConditionCReport:
         if len(cls) == 1:
             for p in cls[0]:
                 if p in singleton_pts:
+                    matching_ok = False
                     problems.append(f"K_n vertex {p} shared by two singleton classes")
                 singleton_pts.add(p)
         elif len(cls) == 2:
@@ -242,7 +257,7 @@ def check_condition_C(coloring: Coloring) -> ConditionCReport:
                 centers.append(shared.pop())
     involved = singleton_pts | set(centers)
     exceptional = tuple(p for p in range(1, n + 1) if p not in involved)
-    return ConditionCReport(sizes_ok=sizes_ok, p3_ok=p3_ok,
+    return ConditionCReport(sizes_ok=sizes_ok, p3_ok=p3_ok, matching_ok=matching_ok,
                             singleton_points=tuple(sorted(singleton_pts)),
                             centers=tuple(sorted(centers)),
                             exceptional=exceptional, problems=problems)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, permutations, product
 from math import comb
 
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
@@ -367,18 +368,13 @@ def _rotational_kts_days(n: int, max_nodes: int = 500000):
     if D is not None:
         return days_from(canonical[0], canonical[1], D)
     for bs in combinations(range(m), k):
-        for cs in _permutations_lazy(range(m), k):
+        for cs in permutations(range(m), k):
             if len({(c - b) % m for b, c in zip(bs, cs)}) != k:
                 continue
             D = _rotational_day_orbit(m, list(bs), list(cs), max_nodes)
             if D is not None:
                 return days_from(bs, cs, D)
     return None
-
-
-def _permutations_lazy(pool, k):
-    from itertools import permutations
-    return permutations(pool, k)
 
 
 _kts_cache: dict = {}
@@ -411,19 +407,18 @@ def construct_kts(n: int) -> Resolution:
 # The projective plane of order 4 as a (21,5,1)-design
 
 
+@cache
 def construct_design_21_5_1() -> Design:
     """Points and lines of PG(2,4) over the 4-element field."""
-    if "pg24" not in _sts_cache:
-        gf_mul = _gf4_mul_table()
-        pts = _pg2_points(gf_mul)
-        idx = {p: i + 1 for i, p in enumerate(pts)}
-        blocks = []
-        for line in pts:  # lines are also normalized triples; incidence <a,x> = 0
-            blk = tuple(sorted(idx[p] for p in pts if _dot4(line, p, gf_mul) == 0))
-            blocks.append(blk)
-        d = Design(n=21, blocks=tuple(sorted(blocks)), k=5, r=5, lam=1)
-        _sts_cache["pg24"] = _checked(d)
-    return _sts_cache["pg24"]
+    gf_mul = _gf4_mul_table()
+    pts = _pg2_points(gf_mul)
+    idx = {p: i + 1 for i, p in enumerate(pts)}
+    blocks = []
+    for line in pts:  # lines are also normalized triples; incidence <a,x> = 0
+        blk = tuple(sorted(idx[p] for p in pts if _dot4(line, p, gf_mul) == 0))
+        blocks.append(blk)
+    d = Design(n=21, blocks=tuple(sorted(blocks)), k=5, r=5, lam=1)
+    return _checked(d)
 
 
 def _gf4_mul_table():

@@ -17,7 +17,7 @@ from .designs import construct_sts
 from .errors import (CertificateError, ParameterDomainError, SearchExhaustedError,
                      SizeCapError)
 from .exact_cover import exact_cover
-from .kneser import colex_key
+from .kneser import bit_indices, colex_key
 
 Point = tuple
 
@@ -222,13 +222,9 @@ class DisjointnessGraph:
         return self._adj
 
     def edges(self):
-        bits = self.adjacency_bitsets()
-        for i in range(self.vertex_count):
-            m = bits[i] >> (i + 1)
-            while m:
-                low = m & -m
-                yield i, i + 1 + low.bit_length() - 1
-                m ^= low
+        for i, nbrs in enumerate(self.adjacency_bitsets()):
+            for j in bit_indices(nbrs >> (i + 1)):
+                yield i, i + 1 + j
 
 
 def build_dv(ps: PointSet, k: int) -> DisjointnessGraph:

@@ -6,6 +6,7 @@ public contract (JSON exports and search traces index into it).
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -13,11 +14,34 @@ from .errors import ForeignVertexError, ParameterDomainError
 
 KSubset = tuple  # sorted tuple of distinct ints in 1..n
 
-_BITSET_CACHE_LIMIT = 4096
-
 
 def colex_key(subset):
     return tuple(reversed(subset))
+
+
+def bit_indices(bits: int):
+    """Yield the positions of the set bits of a non-negative int, lowest first."""
+    digits = bin(bits)[:1:-1]  # least significant digit first
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def neighbour_bitsets(g):
+    """Per-vertex neighbour bitsets of any graph, in index order.
+
+    Bit j of entry i is set iff vertices i and j are adjacent.  Uses the
+    graph's adjacency_bitsets() where it has one, and builds them from its
+    edges() (index pairs) otherwise.
+    """
+    if hasattr(g, "adjacency_bitsets"):
+        return g.adjacency_bitsets()
+    bits = [0] * g.vertex_count
+    for i, j in g.edges():
+        bits[i] |= 1 << j
+        bits[j] |= 1 << i
+    return bits
 
 
 def validate_ksubset(subset, n, k) -> None:
@@ -39,7 +63,6 @@ class KneserGraph:
         self.k = k
         self.vertices = tuple(sorted(combinations(range(1, n + 1), k), key=colex_key))
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._adj_bits = None
 
     @property
     def vertex_count(self) -> int:
@@ -60,52 +83,38 @@ class KneserGraph:
             raise ForeignVertexError(f"{u} or {v} is not a vertex of K({self.n},{self.k})")
         return not set(u) & set(v)
 
-    def adjacent_idx(self, i: int, j: int) -> bool:
-        return not set(self.vertices[i]) & set(self.vertices[j])
+    @cached_property
+    def stars(self) -> tuple:
+        """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
+        rows = [bytearray((self.vertex_count + 7) // 8) for _ in range(self.n + 1)]
+        for i, v in enumerate(self.vertices):
+            for x in v:
+                rows[x][i >> 3] |= 1 << (i & 7)
+        return tuple(int.from_bytes(row, "little") for row in rows)
 
-    def neighbors_idx(self, i: int):
-        bits = self.adjacency_bitsets()[i]
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+    def neighbourhoods(self):
+        """Yield the neighbour bitset of each vertex in index order.
+
+        N(v) = ALL & ~(stars[x1] | ... | stars[xk]): k big-int operations per
+        vertex, and nothing is kept once the caller moves on.
+        """
+        stars = self.stars
+        full = (1 << self.vertex_count) - 1
+        for v in self.vertices:
+            met = 0
+            for x in v:
+                met |= stars[x]
+            yield full ^ met
 
     def adjacency_bitsets(self):
-        """Per-vertex neighbor bitsets, cached (|V| here never exceeds the cap)."""
-        if self._adj_bits is None:
-            if self.vertex_count > _BITSET_CACHE_LIMIT:
-                raise ParameterDomainError(
-                    f"adjacency cache capped at {_BITSET_CACHE_LIMIT} vertices")
-            verts = self.vertices
-            sets = [set(v) for v in verts]
-            bits = [0] * len(verts)
-            for i in range(len(verts)):
-                si = sets[i]
-                for j in range(i + 1, len(verts)):
-                    if not si & sets[j]:
-                        bits[i] |= 1 << j
-                        bits[j] |= 1 << i
-            self._adj_bits = bits
-        return self._adj_bits
+        """Per-vertex neighbour bitsets, as a new list (not cached)."""
+        return list(self.neighbourhoods())
 
     def edges(self):
-        """Yield index pairs (i, j), i < j, of adjacent vertices."""
-        if self.k == 2:
-            # walk disjoint pairs directly instead of testing all C(V,2) pairs
-            n = self.n
-            for i, (a, b) in enumerate(self.vertices):
-                rest = [x for x in range(1, n + 1) if x != a and x != b]
-                for c, d in combinations(rest, 2):
-                    j = self._index[(c, d)]
-                    if j > i:
-                        yield i, j
-        else:
-            verts = self.vertices
-            sets = [set(v) for v in verts]
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    if not sets[i] & sets[j]:
-                        yield i, j
+        """Yield index pairs (i, j), i < j, of adjacent vertices, in colex index order."""
+        for i, nbrs in enumerate(self.neighbourhoods()):
+            for j in bit_indices(nbrs >> (i + 1)):
+                yield i, i + 1 + j
 
     def edge_count(self) -> int:
         return self.vertex_count * self.regular_degree // 2

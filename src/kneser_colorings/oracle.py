@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import SizeCapError
+from .kneser import neighbour_bitsets
 
 
 @dataclass(frozen=True)
@@ -28,17 +29,6 @@ class OracleResult:
                 "seconds": round(self.seconds, 6)}
 
 
-def _adjacency_bits(g):
-    if hasattr(g, "adjacency_bitsets"):
-        return list(g.adjacency_bitsets())
-    verts = list(g.vertices)
-    bits = [0] * len(verts)
-    for i, j in g.edges():
-        bits[i] |= 1 << j
-        bits[j] |= 1 << i
-    return bits
-
-
 def _check_cap(g, cap, what):
     if g.vertex_count > cap:
         raise SizeCapError(f"{what} capped at {cap} vertices, graph has {g.vertex_count}")
@@ -47,11 +37,11 @@ def _check_cap(g, cap, what):
 def exact_chromatic(g, cap: int = 24) -> OracleResult:
     """Minimum proper coloring size, by iterative deepening from a clique bound."""
     _check_cap(g, cap, "exact_chromatic")
-    t0 = time.time()
-    adj = _adjacency_bits(g)
+    t0 = time.perf_counter()
+    adj = neighbour_bitsets(g)
     V = len(adj)
     if V == 0:
-        return OracleResult("chi", 0, 0, time.time() - t0)
+        return OracleResult("chi", 0, 0, time.perf_counter() - t0)
     deg = [a.bit_count() for a in adj]
     clique = []
     for v in sorted(range(V), key=lambda v: -deg[v]):
@@ -111,13 +101,13 @@ def exact_chromatic(g, cap: int = 24) -> OracleResult:
     l = lb
     while not colorable(l):
         l += 1
-    return OracleResult("chi", l, nodes, time.time() - t0)
+    return OracleResult("chi", l, nodes, time.perf_counter() - t0)
 
 
 def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
     _check_cap(g, cap, f"exact_{param}")
-    t0 = time.time()
-    adj = _adjacency_bits(g)
+    t0 = time.perf_counter()
+    adj = neighbour_bitsets(g)
     V = len(adj)
     E = sum(a.bit_count() for a in adj) // 2
     deg = [a.bit_count() for a in adj]
@@ -176,8 +166,8 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
 
     for l in range(hi, 0, -1):
         if feasible(l):
-            return OracleResult(param, l, nodes, time.time() - t0)
-    return OracleResult(param, 1, nodes, time.time() - t0)
+            return OracleResult(param, l, nodes, time.perf_counter() - t0)
+    return OracleResult(param, 1, nodes, time.perf_counter() - t0)
 
 
 def exact_achromatic(g, cap: int = 16) -> OracleResult:
@@ -193,11 +183,11 @@ def exact_pseudoachromatic(g, cap: int = 16) -> OracleResult:
 def exact_grundy(g, cap: int = 16) -> OracleResult:
     """Maximum l admitting a Grundy l-coloring (every color j sees all i < j)."""
     _check_cap(g, cap, "exact_grundy")
-    t0 = time.time()
-    adj = _adjacency_bits(g)
+    t0 = time.perf_counter()
+    adj = neighbour_bitsets(g)
     V = len(adj)
     if V == 0:
-        return OracleResult("grundy", 0, 0, time.time() - t0)
+        return OracleResult("grundy", 0, 0, time.perf_counter() - t0)
     deg = [a.bit_count() for a in adj]
     hi = min(max(deg) + 1, V)
     order = sorted(range(V), key=lambda v: (-deg[v], v))
@@ -256,5 +246,5 @@ def exact_grundy(g, cap: int = 16) -> OracleResult:
 
     for l in range(hi, 0, -1):
         if feasible(l):
-            return OracleResult("grundy", l, nodes, time.time() - t0)
-    return OracleResult("grundy", 1, nodes, time.time() - t0)
+            return OracleResult("grundy", l, nodes, time.perf_counter() - t0)
+    return OracleResult("grundy", 1, nodes, time.perf_counter() - t0)

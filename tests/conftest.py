@@ -34,3 +34,36 @@ def brute_proper(classes, adjacent):
             if adjacent(u, v):
                 return False, (u, v)
     return True, None
+
+
+def brute_first_proper(vertices, classes, adjacent):
+    """The adjacent same-class pair least in the given vertex order, by direct scan."""
+    color = {v: c for c, cls in enumerate(classes) for v in cls}
+    for u, v in combinations(vertices, 2):
+        if color[u] == color[v] and adjacent(u, v):
+            return False, (u, v)
+    return True, None
+
+
+def brute_grundy(vertices, classes, adjacent):
+    """Every vertex sees every color below its own; witness is the first vertex
+    (in the given order) that does not, with its lowest missing color."""
+    color = {v: c for c, cls in enumerate(classes, 1) for v in cls}
+    for v in vertices:
+        seen = {color[u] for u in vertices if adjacent(u, v)}
+        for c in range(1, color[v]):
+            if c not in seen:
+                return False, (v, c)
+    return True, None
+
+
+def brute_dominating(classes, adjacent):
+    """Every class has a vertex seeing every other class; witness is the first
+    class that has none."""
+    color = {v: c for c, cls in enumerate(classes, 1) for v in cls}
+    others = set(color.values())
+    for c, cls in enumerate(classes, 1):
+        if not any(others - {c} <= {color[u] for u in color if adjacent(u, v)}
+                   for v in cls):
+            return False, c
+    return True, None

@@ -56,6 +56,7 @@ def test_domain_error_exits_2():
 def test_usage_error_exits_2():
     assert run("construct", "--family", "bogus").returncode == 2
     assert run().returncode == 2
+    assert run("bounds", "--n-max", "5", "--threads", "2").returncode == 2  # no such flag
 
 
 def test_determinism_byte_identical(tmp_path):

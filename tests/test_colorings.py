@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import count
 
 import pytest
 
@@ -7,10 +8,12 @@ from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring
 from kneser_colorings.colorings import (Coloring, check_condition_C, coloring_from_json,
                                         verify_coloring)
 from kneser_colorings.errors import CoverageError
-from kneser_colorings.kneser import build_kneser
-from kneser_colorings.pseudoachromatic import _five_block_classes
+from kneser_colorings.geometry import build_dv, random_general_position
+from kneser_colorings.kneser import KneserGraph, build_kneser
+from kneser_colorings.pseudoachromatic import MatchingGraph, _five_block_classes
 
-from conftest import brute_complete, brute_proper
+from conftest import (brute_complete, brute_dominating, brute_first_proper, brute_grundy,
+                      brute_proper)
 
 
 def _kneser_adjacent(u, v):
@@ -126,6 +129,7 @@ def test_condition_c_flags_shared_singleton_vertex():
     # not even proper on K(4,2), but the report must flag the shared vertex
     cc = check_condition_C(Coloring(("kneser", 4, 2), classes))
     assert any("shared by two singleton" in p for p in cc.problems)
+    assert not cc.matching_ok and not cc.passes
 
 
 def test_condition_c_flags_non_p3():
@@ -146,3 +150,81 @@ def test_json_round_trip():
 def test_histogram():
     c = achromatic_coloring(7)
     assert c.class_histogram() == {3: 5, 2: 2, 1: 2}
+
+
+def _random_classes(vertices, adjacent, rng, mode):
+    """Classes of a random partition, of a first-fit (Grundy) coloring with its
+    classes shuffled, or of a first-fit coloring with one vertex split off."""
+    order = list(vertices)
+    rng.shuffle(order)
+    if mode == "partition":
+        l = rng.randint(1, min(len(order), 12))
+        color = {v: i if i < l else rng.randrange(l) for i, v in enumerate(order)}
+    else:
+        color = {}
+        for v in order:
+            used = {color[u] for u in color if adjacent(u, v)}
+            color[v] = next(c for c in count() if c not in used)
+        l = max(color.values()) + 1
+        if mode == "split":
+            color[rng.choice(order)] = l
+            l += 1
+    classes = [[v for v in vertices if color[v] == c] for c in range(l)]
+    classes = [cls for cls in classes if cls]
+    if mode != "partition":
+        rng.shuffle(classes)
+    return tuple(tuple(cls) for cls in classes)
+
+
+def _kneser_case(n, k):
+    return build_kneser(n, k), _kneser_adjacent
+
+
+def _dv_case():
+    g = build_dv(random_general_position(8, seed=1), 2)
+    return g, g.adjacent_subsets
+
+
+def _matching_case():
+    g = MatchingGraph(6)
+    return g, lambda u, v: abs(u - v) == g.m
+
+
+_KERNEL_CASES = ([(f"K({n},2)", lambda n=n: _kneser_case(n, 2)) for n in range(4, 11)]
+                 + [(f"K({n},3)", lambda n=n: _kneser_case(n, 3)) for n in range(6, 10)]
+                 + [("D_V(8)", _dv_case), ("matching(6)", _matching_case)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in _KERNEL_CASES],
+                         ids=[name for name, _ in _KERNEL_CASES])
+def test_verdicts_and_witnesses_match_brute_force(make):
+    """All four verdicts and every witness equal the canonical brute-force ones."""
+    g, adjacent = make()
+    rng = random.Random(g.vertex_count)
+    verts = list(g.vertices)
+    for mode in ("partition", "shuffled", "split") * 3:
+        classes = _random_classes(verts, adjacent, rng, mode)
+        rep = verify_coloring(g, Coloring(("test",), classes))
+        proper, proper_w = brute_first_proper(verts, classes, adjacent)
+        complete, complete_w = brute_complete(classes, adjacent)
+        grundy, grundy_w = brute_grundy(verts, classes, adjacent)
+        dominating, dominating_w = brute_dominating(classes, adjacent)
+        if not proper:
+            grundy, grundy_w = False, proper_w
+        want = {"proper": proper_w, "complete": complete_w, "grundy": grundy_w,
+                "dominating": dominating_w}
+        assert (rep.proper, rep.complete, rep.grundy, rep.dominating) == (
+            proper, complete, grundy, dominating), classes
+        assert rep.witnesses == {k: w for k, w in want.items() if w is not None}, classes
+
+
+def test_kneser_verification_never_scans_edges(monkeypatch):
+    def no_scan(self):
+        raise AssertionError("verify_coloring enumerated the edges of a Kneser graph")
+
+    monkeypatch.setattr(KneserGraph, "edges", no_scan)
+    rep = verify_coloring(build_kneser(9, 2), achromatic_coloring(9))
+    assert rep.proper and rep.complete
+    g = build_kneser(7, 3)
+    rep = verify_coloring(g, Coloring(("kneser", 7, 3), (g.vertices[:20], g.vertices[20:])))
+    assert not rep.proper and rep.complete

@@ -70,6 +70,16 @@ def test_degree_audit(n):
         assert all(d == want for d in degs), (n, k)
 
 
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 2), (7, 3), (9, 4)])
+def test_edges_are_the_disjoint_pairs_in_index_order(n, k):
+    g = build_kneser(n, k)
+    want = sorted(tuple(sorted((g.index(u), g.index(v)))) for u, v in brute_kneser_edges(n, k))
+    assert list(g.edges()) == want
+    bits = g.adjacency_bitsets()
+    assert all((bits[i] >> j) & 1 and (bits[j] >> i) & 1 for i, j in want)
+    assert sum(b.bit_count() for b in bits) == 2 * len(want)
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_k2_matches_line_graph_complement(n):
     """Adjacency in K(n,2) = edge-disjointness in K_n, built independently."""
