@@ -11,7 +11,7 @@ from .designs import (Design, OneFactorization, Resolution, c4_free_one_factoriz
 from .geometry import (PointSet, build_dv, convex_position_points, dv_achromatic_coloring,
                        dvnk_lower_coloring, random_general_position, thrackle_max_edges,
                        triangle_pair_check)
-from .kneser import KneserGraph, adjacent, build_kneser, lovasz_chromatic
+from .kneser import KneserGraph, build_kneser, lovasz_chromatic
 from .oracle import (exact_achromatic, exact_chromatic, exact_grundy,
                      exact_pseudoachromatic)
 from .pseudoachromatic import (kneser_matching_coloring, matching_coloring,
@@ -30,7 +30,7 @@ __all__ = [
     "PointSet", "build_dv", "convex_position_points", "dv_achromatic_coloring",
     "dvnk_lower_coloring", "random_general_position", "thrackle_max_edges",
     "triangle_pair_check",
-    "KneserGraph", "adjacent", "build_kneser", "lovasz_chromatic",
+    "KneserGraph", "build_kneser", "lovasz_chromatic",
     "exact_achromatic", "exact_chromatic", "exact_grundy", "exact_pseudoachromatic",
     "kneser_matching_coloring", "matching_coloring", "psi_lower_coloring",
     "psi_tight_coloring",

@@ -8,6 +8,7 @@ take --seed and are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -16,7 +17,7 @@ from . import pseudoachromatic as pseudo
 from .colorings import Coloring, check_condition_C, coloring_from_json, verify_coloring
 from .errors import (CertificateError, CoverageError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
-from .kneser import build_kneser
+from .kneser import build_kneser, kneser_order
 from .pseudoachromatic import MatchingGraph
 
 
@@ -161,10 +162,12 @@ def _cmd_bounds(plan) -> int:
 
 
 def _cmd_oracle(plan) -> int:
-    g = build_kneser(plan.n, plan.k)
     fn = {"alpha": oracle_mod.exact_achromatic, "psi": oracle_mod.exact_pseudoachromatic,
           "grundy": oracle_mod.exact_grundy, "chi": oracle_mod.exact_chromatic}[plan.param]
-    res = fn(g, plan.cap) if plan.cap else fn(g)
+    cap = plan.cap if plan.cap is not None else inspect.signature(fn).parameters["cap"].default
+    # refuse before enumerating C(n,k) subsets
+    oracle_mod.check_cap(kneser_order(plan.n, plan.k), cap, fn.__name__)
+    res = fn(build_kneser(plan.n, plan.k), cap)
     doc = res.as_dict()
     doc.update({"n": plan.n, "k": plan.k})
     _emit(plan, json.dumps(doc, sort_keys=True))

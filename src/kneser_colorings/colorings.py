@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CoverageError
+from .errors import CoverageError, ParameterDomainError
 from .kneser import bit_indices, neighbour_bitsets
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
@@ -136,7 +136,7 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
     checks = frozenset(checks)
     unknown = checks - ALL_CHECKS
     if unknown:
-        raise ValueError(f"unknown checks {sorted(unknown)}")
+        raise ParameterDomainError(f"unknown checks {sorted(unknown)}")
     cls_of, masks = _class_masks(g, coloring)
     l = coloring.color_count
     rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())

@@ -53,12 +53,18 @@ def validate_ksubset(subset, n, k) -> None:
         raise ParameterDomainError(f"subset {subset} not within 1..{n}")
 
 
+def kneser_order(n: int, k: int) -> int:
+    """C(n,k), the vertex count of K(n,k), without building the graph."""
+    if k < 1 or n < k:
+        raise ParameterDomainError(f"K({n},{k}) needs 1 <= k <= n")
+    return comb(n, k)
+
+
 class KneserGraph:
     """Immutable K(n,k). Adjacency is subset disjointness."""
 
     def __init__(self, n: int, k: int):
-        if k < 1 or n < k:
-            raise ParameterDomainError(f"K({n},{k}) needs 1 <= k <= n")
+        kneser_order(n, k)
         self.n = n
         self.k = k
         self.vertices = tuple(sorted(combinations(range(1, n + 1), k), key=colex_key))
@@ -147,10 +153,6 @@ def build_kneser(n: int, k: int) -> KneserGraph:
     if key not in _graph_cache:
         _graph_cache[key] = KneserGraph(n, k)
     return _graph_cache[key]
-
-
-def adjacent(g: KneserGraph, u, v) -> bool:
-    return g.adjacent_subsets(u, v)
 
 
 def lovasz_chromatic(n: int, k: int) -> int:

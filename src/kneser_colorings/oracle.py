@@ -1,10 +1,18 @@
 """Exact exponential-time ground truth for chi, Gamma, alpha, psi on small graphs.
 
 alpha and psi share one branch-and-bound over class assignments (properness
-is a toggle); the search walks target counts downward so every reported
-value is both attained and refuted at value+1.  Admissible prunes only:
-pair-count versus remaining-edge budget, open-class feasibility, and the
-singleton-degree argument (a singleton class must see every other class).
+is a toggle); Gamma has its own over color assignments.  Both walk target
+counts downward, so every reported value is both attained and refuted at
+value+1, and both place vertices in one max-cardinality order
+(`_search_order`): each next vertex has the most neighbours already
+placed, so the constraints between placed vertices bite near the root.
+Admissible prunes only: for alpha and psi, pair-count versus
+remaining-edge budget, open-class feasibility, and the singleton-degree
+argument (a singleton class must see every other class); for Gamma, the
+forward check (every colored vertex must still be able to see each color
+below its own: the colors it misses number at most its uncolored
+neighbours), applied to the vertex just colored and to its colored
+neighbours.  chi is DSatur-ordered iterative deepening.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import SizeCapError
-from .kneser import neighbour_bitsets
+from .kneser import bit_indices, neighbour_bitsets
 
 
 @dataclass(frozen=True)
@@ -29,20 +37,36 @@ class OracleResult:
                 "seconds": round(self.seconds, 6)}
 
 
-def _check_cap(g, cap, what):
-    if g.vertex_count > cap:
-        raise SizeCapError(f"{what} capped at {cap} vertices, graph has {g.vertex_count}")
+def check_cap(vertex_count, cap, what):
+    """Raise SizeCapError if a graph of vertex_count vertices exceeds cap."""
+    if vertex_count > cap:
+        raise SizeCapError(f"{what} capped at {cap} vertices, graph has {vertex_count}")
+
+
+def _search_order(adj):
+    """Max-cardinality vertex order: each next vertex is the unplaced one with
+    the most neighbours already placed, ties to the higher degree, then the
+    lower index."""
+    placed = 0
+    order = []
+    for _ in adj:
+        v = max((u for u in range(len(adj)) if not (placed >> u) & 1),
+                key=lambda u: ((adj[u] & placed).bit_count(), adj[u].bit_count(), -u))
+        order.append(v)
+        placed |= 1 << v
+    return order
 
 
 def exact_chromatic(g, cap: int = 24) -> OracleResult:
     """Minimum proper coloring size, by iterative deepening from a clique bound."""
-    _check_cap(g, cap, "exact_chromatic")
+    check_cap(g.vertex_count, cap, "exact_chromatic")
     t0 = time.perf_counter()
     adj = neighbour_bitsets(g)
     V = len(adj)
     if V == 0:
         return OracleResult("chi", 0, 0, time.perf_counter() - t0)
-    deg = [a.bit_count() for a in adj]
+    nbrs = [list(bit_indices(a)) for a in adj]
+    deg = [len(nb) for nb in nbrs]
     clique = []
     for v in sorted(range(V), key=lambda v: -deg[v]):
         if all((adj[v] >> u) & 1 for u in clique):
@@ -64,29 +88,14 @@ def exact_chromatic(g, cap: int = 24) -> OracleResult:
             for v in range(V):
                 if color[v]:
                     continue
-                sat = 0
                 seen = 0
-                m = adj[v]
-                while m:
-                    low = m & -m
-                    u = low.bit_length() - 1
-                    m ^= low
-                    if color[u]:
-                        bit = 1 << color[u]
-                        if not seen & bit:
-                            seen |= bit
-                            sat += 1
+                for u in nbrs[v]:
+                    seen |= 1 << color[u]
+                sat = (seen >> 1).bit_count()
                 if sat > bsat or (sat == bsat and deg[v] > bdeg):
                     best, bsat, bdeg = v, sat, deg[v]
             v = best
-            used = set()
-            m = adj[v]
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                if color[u]:
-                    used.add(color[u])
+            used = {color[u] for u in nbrs[v]}
             for c in range(1, min(l, maxc + 1) + 1):
                 if c in used:
                     continue
@@ -105,7 +114,7 @@ def exact_chromatic(g, cap: int = 24) -> OracleResult:
 
 
 def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
-    _check_cap(g, cap, f"exact_{param}")
+    check_cap(g.vertex_count, cap, f"exact_{param}")
     t0 = time.perf_counter()
     adj = neighbour_bitsets(g)
     V = len(adj)
@@ -116,7 +125,7 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
     while comb(hi + 1, 2) <= E:
         hi += 1
     hi = min(hi, V)
-    order = sorted(range(V), key=lambda v: (-deg[v], v))
+    order = _search_order(adj)
     nodes = 0
 
     def feasible(l):
@@ -182,63 +191,57 @@ def exact_pseudoachromatic(g, cap: int = 16) -> OracleResult:
 
 def exact_grundy(g, cap: int = 16) -> OracleResult:
     """Maximum l admitting a Grundy l-coloring (every color j sees all i < j)."""
-    _check_cap(g, cap, "exact_grundy")
+    check_cap(g.vertex_count, cap, "exact_grundy")
     t0 = time.perf_counter()
     adj = neighbour_bitsets(g)
     V = len(adj)
     if V == 0:
         return OracleResult("grundy", 0, 0, time.perf_counter() - t0)
-    deg = [a.bit_count() for a in adj]
+    nbrs = [list(bit_indices(a)) for a in adj]
+    deg = [len(nb) for nb in nbrs]
     hi = min(max(deg) + 1, V)
-    order = sorted(range(V), key=lambda v: (-deg[v], v))
+    order = _search_order(adj)
     nodes = 0
 
     def feasible(l):
         nonlocal nodes
         color = [0] * V
+        free = deg[:]  # uncolored neighbours of each vertex
+        count = [[0] * (l + 1) for _ in range(V)]  # count[u][c]: neighbours of u colored c
+        have = [0] * V  # bit c of have[u]: some neighbour of u is colored c
+
+        def stuck(u):
+            # u can no longer see every color below its own
+            return (((1 << color[u]) - 2) & ~have[u]).bit_count() > free[u]
 
         def rec(pos, used_max):
             nonlocal nodes
             nodes += 1
             if pos == V:
-                if used_max != l:
-                    return False
-                for v in range(V):
-                    have = 0
-                    m = adj[v]
-                    while m:
-                        low = m & -m
-                        have |= 1 << color[low.bit_length() - 1]
-                        m ^= low
-                    want = ((1 << color[v]) - 1) ^ 1  # colors 1..c-1
-                    if have & want != want:
-                        return False
-                return True
+                # every vertex passed the forward check with no neighbour left
+                # uncolored, so the coloring is Grundy
+                return used_max == l
             v = order[pos]
-            av = adj[v]
-            have = 0
-            unassigned = 0
-            m = av
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                if color[u]:
-                    have |= 1 << color[u]
-                else:
-                    unassigned += 1
             for c in range(1, min(deg[v] + 1, l) + 1):
-                if (have >> c) & 1:
-                    continue
-                missing = 0
-                for i in range(1, c):
-                    if not (have >> i) & 1:
-                        missing += 1
-                if missing > unassigned:
+                if (have[v] >> c) & 1:
                     continue
                 color[v] = c
-                if rec(pos + 1, max(used_max, c)):
+                if stuck(v):  # and so for every higher color
+                    color[v] = 0
+                    break
+                bit = 1 << c
+                for u in nbrs[v]:
+                    free[u] -= 1
+                    count[u][c] += 1
+                    have[u] |= bit
+                if (not any(color[u] and stuck(u) for u in nbrs[v])
+                        and rec(pos + 1, max(used_max, c))):
                     return True
+                for u in nbrs[v]:
+                    free[u] += 1
+                    count[u][c] -= 1
+                    if not count[u][c]:
+                        have[u] &= ~bit
                 color[v] = 0
             return False
 

@@ -140,3 +140,24 @@ def test_verify_wrong_params_exits_2(tmp_path):
     run("construct", "--family", "kn2-achromatic", "--n", "6", "--out", str(out))
     assert run("verify", "--coloring", str(out), "--n", "7").returncode == 2
     assert run("verify", "--coloring", str(tmp_path / "nope.json")).returncode == 2
+    r = run("verify", "--coloring", str(out), "--checks", "proper,bogus")
+    assert r.returncode == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParameterDomainError" and "bogus" in err["message"]
+
+
+def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
+    from kneser_colorings import cli
+
+    def refuse(n, k):
+        raise AssertionError(f"K({n},{k}) built before the size cap was checked")
+
+    monkeypatch.setattr(cli, "build_kneser", refuse)
+    assert cli.main(["oracle", "--param", "alpha", "--n", "200", "--k", "100"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+    assert cli.main(["oracle", "--param", "chi", "--n", "8", "--k", "3", "--cap", "55"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+    assert cli.main(["oracle", "--param", "grundy", "--n", "5", "--k", "2", "--cap", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+    assert cli.main(["oracle", "--param", "psi", "--n", "4", "--k", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterDomainError"

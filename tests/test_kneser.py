@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
-from kneser_colorings.kneser import KneserGraph, adjacent, build_kneser, lovasz_chromatic
+from kneser_colorings.kneser import KneserGraph, build_kneser, lovasz_chromatic
 
 from conftest import brute_kneser_edges
 
@@ -31,16 +31,16 @@ def test_k32_edgeless_boundary_case():
 
 def test_adjacency_examples():
     g5 = build_kneser(5, 2)
-    assert adjacent(g5, (1, 2), (3, 4))
-    assert not adjacent(g5, (1, 2), (2, 3))
+    assert g5.adjacent_subsets((1, 2), (3, 4))
+    assert not g5.adjacent_subsets((1, 2), (2, 3))
     g6 = build_kneser(6, 3)
-    assert adjacent(g6, (1, 2, 3), (4, 5, 6))
+    assert g6.adjacent_subsets((1, 2, 3), (4, 5, 6))
 
 
 def test_foreign_vertex_rejected():
     g = build_kneser(5, 2)
     with pytest.raises(ForeignVertexError):
-        adjacent(g, (1, 2), (5, 6))
+        g.adjacent_subsets((1, 2), (5, 6))
     with pytest.raises(ForeignVertexError):
         g.index((1, 2, 3))
 

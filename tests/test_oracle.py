@@ -1,8 +1,10 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
 from kneser_colorings.errors import SizeCapError
+from kneser_colorings.geometry import build_dv, convex_position_points
 from kneser_colorings.kneser import build_kneser
 from kneser_colorings.oracle import (exact_achromatic, exact_chromatic, exact_grundy,
                                      exact_pseudoachromatic)
@@ -100,3 +102,67 @@ def test_result_metadata():
     assert res.param == "alpha" and res.nodes_explored > 0 and res.seconds >= 0
     doc = res.as_dict()
     assert set(doc) == {"param", "value", "nodes_explored", "seconds"}
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _brute_parameters(n, edges):
+    """chi, Gamma, alpha, psi by trying every set partition (and, for Gamma,
+    every order of its classes)."""
+    adj = set(edges) | {(v, u) for u, v in edges}
+
+    def sees(v, cls):
+        return any((v, u) in adj for u in cls)
+
+    chi, grundy, alpha, psi = n, 0, 0, 0
+    for part in _set_partitions(list(range(n))):
+        l = len(part)
+        proper = not any((u, v) in adj for cls in part for u, v in combinations(cls, 2))
+        if all(any(sees(v, b) for v in a) for a, b in combinations(part, 2)):
+            psi = max(psi, l)
+            if proper:
+                alpha = max(alpha, l)
+        if proper:
+            chi = min(chi, l)
+            if l > grundy and any(all(sees(v, order[i]) for j in range(l) for v in order[j]
+                                      for i in range(j))
+                                  for order in permutations(part)):
+                grundy = l
+    return chi, grundy, alpha, psi
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_oracles_match_brute_force(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < p]
+    g = SmallGraph(n, edges)
+    got = (exact_chromatic(g).value, exact_grundy(g).value,
+           exact_achromatic(g).value, exact_pseudoachromatic(g).value)
+    assert got == _brute_parameters(n, edges), (n, edges)
+
+
+def test_values_the_benchmark_relies_on():
+    k62, k63 = build_kneser(6, 2), build_kneser(6, 3)
+    assert exact_achromatic(k62).value == exact_pseudoachromatic(k62).value == 7
+    assert exact_grundy(k62).value == 7
+    assert exact_achromatic(k63, cap=20).value == exact_pseudoachromatic(k63, cap=20).value == 5
+    assert exact_grundy(build_dv(convex_position_points(6), 2)).value == 6
+
+
+def test_search_order_keeps_kneser_searches_small():
+    """The max-cardinality order refutes alpha, psi = 6 on K(6,3) within a few
+    hundred nodes (a static degree order needed millions)."""
+    k63 = build_kneser(6, 3)
+    assert exact_achromatic(k63, cap=20).nodes_explored < 1000
+    assert exact_pseudoachromatic(k63, cap=20).nodes_explored < 1000
