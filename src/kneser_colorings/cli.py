@@ -186,8 +186,10 @@ def _cmd_design(plan) -> int:
         with open(plan.check) as fh:
             doc = json.load(fh)
         blocks = tuple(sorted(tuple(sorted(b)) for b in doc["blocks"]))
+        if not blocks:
+            raise ParameterDomainError("a design needs at least one block")
         n = int(doc["n"])
-        k = len(blocks[0]) if blocks else 0
+        k = len(blocks[0])
         b = len(blocks)
         r = b * k // n if n else 0
         lam = r * (k - 1) // (n - 1) if n > 1 else 0

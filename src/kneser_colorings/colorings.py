@@ -57,16 +57,28 @@ class Coloring:
         return json.dumps(doc, sort_keys=True)
 
 
+def _int_lists(x, what):
+    """A JSON list of lists of integers, as a tuple of tuples."""
+    if not (isinstance(x, list) and all(isinstance(row, list)
+                                        and all(type(v) is int for v in row) for row in x)):
+        raise ParameterDomainError(f"{what} must be a list of lists of integers")
+    return tuple(map(tuple, x))
+
+
 def coloring_from_json(text: str) -> Coloring:
+    """Decode a certificate; a malformed one raises ParameterDomainError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc["classes"], list):
+        raise ParameterDomainError("a certificate must be a JSON object with a list of classes")
+    for key in ("matching_size", "n", "k"):
+        if key in doc and (type(doc[key]) is not int or doc[key] < 1):
+            raise ParameterDomainError(f"{key} must be an integer >= 1, got {doc[key]!r}")
     if "matching_size" in doc:
-        classes = tuple(tuple(int(v) for v in cls) for cls in doc["classes"])
-        return Coloring(("matching", int(doc["matching_size"])), classes)
-    classes = tuple(tuple(tuple(int(x) for x in v) for v in cls) for cls in doc["classes"])
+        return Coloring(("matching", doc["matching_size"]), _int_lists(doc["classes"], "classes"))
+    classes = tuple(_int_lists(cls, "each class") for cls in doc["classes"])
     if "points" in doc:
-        pts = tuple(tuple(int(x) for x in p) for p in doc["points"])
-        return Coloring(("dv", pts, int(doc["k"])), classes)
-    return Coloring(("kneser", int(doc["n"]), int(doc["k"])), classes)
+        return Coloring(("dv", _int_lists(doc["points"], "points"), doc["k"]), classes)
+    return Coloring(("kneser", doc["n"], doc["k"]), classes)
 
 
 @dataclass
@@ -230,7 +242,7 @@ class ConditionCReport:
 
 def check_condition_C(coloring: Coloring) -> ConditionCReport:
     if coloring.graph_id[0] != "kneser" or coloring.graph_id[2] != 2:
-        raise ValueError("condition (C) applies to colorings of K(n,2)")
+        raise ParameterDomainError("condition (C) applies to colorings of K(n,2)")
     n = coloring.graph_id[1]
     problems = []
     sizes_ok = True

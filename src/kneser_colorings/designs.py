@@ -1,7 +1,8 @@
 """Block designs feeding the coloring constructions.
 
 Steiner triple systems come from the Bose (n = 3 mod 6) and Skolem
-(n = 1 mod 6) quasigroup constructions.  Kirkman systems use affine planes
+(n = 1 mod 6) quasigroup constructions; a Bose system's parallel class is
+its transversal blocks, no search needed.  Kirkman systems use affine planes
 for n in {9, 27}, the classical PG(3,2) spread partition for n = 15, and a
 rotational starter search otherwise.  The (21,5,1)-design is PG(2,4).
 1-factorizations use the circle method, repaired to be 4-cycle-free by a
@@ -184,22 +185,19 @@ def construct_sts(n: int) -> Design:
     return _sts_cache[n]
 
 
-def find_parallel_class(d: Design, max_nodes: int = 200000):
-    """n/3 pairwise disjoint blocks covering all points, or None.
+def find_parallel_class(d: Design):
+    """The Bose transversal class of an STS(n), n = 3 (mod 6), in sorted order.
 
-    Exact-cover search over the design's blocks.
+    In the Bose system on Z_m x {0,1,2} (m = n/3) the blocks
+    {(x,0),(x,1),(x,2)} partition the points; each is checked to be a block of d.
     """
-    if d.n % 3 != 0:
-        raise ParameterDomainError(f"a parallel class of triples needs 3 | n, got n={d.n}")
-    cols = list(range(1, d.n + 1))
-    rows = {i: blk for i, blk in enumerate(d.blocks)}
-    try:
-        sol = exact_cover(cols, rows, max_nodes=max_nodes)
-    except RuntimeError:
-        return None
-    if sol is None:
-        return None
-    return [d.blocks[i] for i in sorted(sol)]
+    if d.n % 6 != 3:
+        raise ParameterDomainError(f"the Bose parallel class needs n = 3 (mod 6), got n={d.n}")
+    m = d.n // 3
+    pc = [(x + 1, m + x + 1, 2 * m + x + 1) for x in range(m)]
+    if not set(pc) <= set(d.blocks):
+        raise CertificateError(f"the transversal triples are not blocks: not a Bose STS({d.n})")
+    return pc
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def test_rejects_n1():
         achromatic_coloring(1)
 
 
-@pytest.mark.parametrize("n", list(range(2, 25)))
+# the parallel-class cases n = 1,4 (mod 6) up to 120, which include n = 88, 91 and 100
+@pytest.mark.parametrize("n", list(range(2, 25)) + [n for n in range(41, 121) if n % 6 in (1, 4)])
 def test_certified_proper_complete_condition_c(n):
     c = achromatic_coloring(n)  # constructor re-verifies; failures raise
     assert c.color_count == (1 if n == 3 else comb(n + 1, 2) // 3)
@@ -148,3 +149,14 @@ def test_relabel_is_stable_within_size():
     for cls in c.classes:
         per_size[len(cls)].append(cls)
     assert list(g.classes) == per_size[3] + per_size[2] + per_size[1]
+
+
+@pytest.mark.parametrize("n", [58, 61])
+def test_parallel_class_cases_do_not_search(n, monkeypatch):
+    import kneser_colorings.designs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_cover called on the achromatic path")
+
+    monkeypatch.setattr(kneser_colorings.designs, "exact_cover", refuse)
+    assert achromatic_coloring(n).color_count == comb(n + 1, 2) // 3

@@ -105,6 +105,11 @@ def test_design_construct_and_check(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     assert run("design", "--check", str(broken)).returncode == 1
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 7, "blocks": []}))
+    r = run("design", "--check", str(empty))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ParameterDomainError"
 
 
 def test_design_kts_and_factorizations():
@@ -161,3 +166,28 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
     assert cli.main(["oracle", "--param", "psi", "--n", "4", "--k", "5"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterDomainError"
+
+
+@pytest.mark.parametrize("doc", [
+    '{"classes": 5}',
+    '[1, 2]',
+    '{"n": 4, "k": 2, "classes": [[["x", "y"]]]}',
+    '{"matching_size": -1, "classes": []}',
+    '{"n": 0, "k": 2, "classes": []}',
+    '{"n": 4, "k": 0, "classes": []}',
+])
+def test_malformed_certificate_exits_2(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    r = run("verify", "--coloring", str(path))
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+
+
+def test_condition_c_on_matching_exits_2(tmp_path):
+    out = tmp_path / "m.json"
+    assert run("construct", "--family", "matching", "--m", "10",
+               "--out", str(out)).returncode == 0
+    r = run("verify", "--coloring", str(out), "--checks", "proper,complete,condition-c")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ParameterDomainError"

@@ -8,7 +8,7 @@ from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair
                                       construct_one_factorization, construct_sts,
                                       find_parallel_class, union_cycle_lengths,
                                       verify_design)
-from kneser_colorings.errors import ParameterDomainError
+from kneser_colorings.errors import CertificateError, ParameterDomainError
 
 from conftest import brute_pair_cover
 
@@ -56,6 +56,25 @@ def test_parallel_class_sts15():
 def test_parallel_class_needs_divisibility():
     with pytest.raises(ParameterDomainError):
         find_parallel_class(construct_sts(7))
+
+
+@pytest.mark.parametrize("n", [87, 99])
+def test_parallel_class_large_bose(n):
+    d = construct_sts(n)
+    pc = find_parallel_class(d)
+    assert set(pc) <= set(d.blocks)
+    assert sorted(p for blk in pc for p in blk) == list(range(1, n + 1))
+
+
+def test_parallel_class_checks_its_blocks():
+    # swapping points 1 and 2 of the Bose STS(9) moves its transversal (1, 4, 7)
+    swap = {1: 2, 2: 1}
+    d = construct_sts(9)
+    blocks = tuple(sorted(tuple(sorted(swap.get(p, p) for p in blk)) for blk in d.blocks))
+    relabelled = Design(n=9, blocks=blocks, k=3, r=4, lam=1)
+    assert verify_design(relabelled).passed
+    with pytest.raises(CertificateError):
+        find_parallel_class(relabelled)
 
 
 @pytest.mark.parametrize("n", [9, 15, 21, 27, 33, 39])
