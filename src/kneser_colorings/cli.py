@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure (witnesses in the JSON
 output), 2 parameter-domain or usage errors.  Certificates are JSON,
-bounds tables CSV, graph exports DOT or JSON.  All randomized searches
-take --seed and are deterministic for a fixed seed.
+bounds tables CSV, graph exports DOT or JSON.  The randomized searches
+(design --type 1f-c4free, geom's random layouts) take --seed and are
+deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -11,11 +12,13 @@ import argparse
 import inspect
 import json
 import sys
+from math import comb
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
-from .colorings import Coloring, check_condition_C, coloring_from_json, verify_coloring
-from .errors import (CertificateError, CoverageError, ParameterDomainError,
+from .colorings import (Coloring, _int_lists, check_condition_C, coloring_from_json,
+                        verify_coloring)
+from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
 from .kneser import build_kneser, kneser_order
 from .pseudoachromatic import MatchingGraph
@@ -23,7 +26,8 @@ from .pseudoachromatic import MatchingGraph
 
 def _add_common(p):
     p.add_argument("--out", help="write the primary output to this file instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for design --type 1f-c4free and geom's random layouts")
 
 
 def parse_invocation(argv):
@@ -112,7 +116,7 @@ def _cmd_construct(plan) -> int:
             if plan.grundy:
                 coloring = achromatic.grundy_relabel(coloring)
         elif fam == "kn2-psi-lower":
-            coloring = pseudo.psi_lower_coloring(plan.n, seed=plan.seed)
+            coloring = pseudo.psi_lower_coloring(plan.n)
         else:
             coloring = pseudo.psi_tight_coloring(plan.n)
     _emit(plan, coloring.to_json())
@@ -120,13 +124,18 @@ def _cmd_construct(plan) -> int:
 
 
 def _graph_for(coloring: Coloring):
-    kind = coloring.graph_id[0]
+    """The certificate's graph, refused before it is built if the classes cannot cover it."""
+    kind, base, *k = coloring.graph_id  # base: n, the points, or the matching size
+    order = (kneser_order(base, k[0]) if kind == "kneser"
+             else comb(len(base), k[0]) if kind == "dv" else 2 * base)
+    members = sum(map(len, coloring.classes))
+    if order > members:
+        raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
     if kind == "kneser":
-        return build_kneser(coloring.graph_id[1], coloring.graph_id[2])
+        return build_kneser(base, k[0])
     if kind == "dv":
-        ps = geometry.PointSet(coloring.graph_id[1])
-        return geometry.build_dv(ps, coloring.graph_id[2])
-    return MatchingGraph(coloring.graph_id[1])
+        return geometry.build_dv(geometry.PointSet(base), k[0])
+    return MatchingGraph(base)
 
 
 def _cmd_verify(plan) -> int:
@@ -185,13 +194,15 @@ def _cmd_design(plan) -> int:
     if plan.check:
         with open(plan.check) as fh:
             doc = json.load(fh)
-        blocks = tuple(sorted(tuple(sorted(b)) for b in doc["blocks"]))
+        if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 1:
+            raise ParameterDomainError("a design must be a JSON object with an integer n >= 1")
+        blocks = tuple(sorted(tuple(sorted(b)) for b in _int_lists(doc["blocks"], "blocks")))
         if not blocks:
             raise ParameterDomainError("a design needs at least one block")
-        n = int(doc["n"])
+        n = doc["n"]
         k = len(blocks[0])
         b = len(blocks)
-        r = b * k // n if n else 0
+        r = b * k // n
         lam = r * (k - 1) // (n - 1) if n > 1 else 0
         rep = designs.verify_design(designs.Design(n=n, blocks=blocks, k=k, r=r, lam=lam))
         _emit(plan, json.dumps(rep.as_dict(), sort_keys=True))
@@ -270,7 +281,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return execute(plan)
-    except (ParameterDomainError, SizeCapError, ShapeError, CoverageError,
+    except (ParameterDomainError, SizeCapError, ShapeError, CoverageError, ForeignVertexError,
             FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -28,13 +28,6 @@ class Coloring:
     def color_count(self) -> int:
         return len(self.classes)
 
-    def color_of(self) -> dict:
-        out = {}
-        for ci, cls in enumerate(self.classes):
-            for v in cls:
-                out[v] = ci + 1
-        return out
-
     def class_histogram(self) -> dict:
         hist = {}
         for cls in self.classes:
@@ -77,7 +70,10 @@ def coloring_from_json(text: str) -> Coloring:
         return Coloring(("matching", doc["matching_size"]), _int_lists(doc["classes"], "classes"))
     classes = tuple(_int_lists(cls, "each class") for cls in doc["classes"])
     if "points" in doc:
-        return Coloring(("dv", _int_lists(doc["points"], "points"), doc["k"]), classes)
+        points = _int_lists(doc["points"], "points")
+        if any(len(p) != 2 for p in points):
+            raise ParameterDomainError("each point must be a pair of integer coordinates")
+        return Coloring(("dv", points, doc["k"]), classes)
     return Coloring(("kneser", doc["n"], doc["k"]), classes)
 
 
@@ -90,11 +86,6 @@ class VerificationReport:
     dominating: bool | None = None
     witnesses: dict = field(default_factory=dict)
     class_histogram: dict = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v is not False for v in
-                   (self.proper, self.complete, self.grundy, self.dominating))
 
     def as_dict(self):
         return {"color_count": self.color_count, "proper": self.proper,

@@ -463,20 +463,23 @@ def _dot4(a, b, mul):
 # 1-factorizations
 
 
+def circle_factor(t2: int, i: int) -> list:
+    """Factor i of the circle method on Z_{t2-1} + infinity, points 1..t2.
+
+    Edges in k order: {inf, i}, then {i-k, i+k} for k = 1 .. t2/2 - 1
+    (x in Z_{t2-1} is point x+1, infinity is point t2).
+    """
+    m = t2 - 1
+    return [(i + 1, t2)] + [tuple(sorted(((i - k) % m + 1, (i + k) % m + 1)))
+                            for k in range(1, t2 // 2)]
+
+
 def construct_one_factorization(t2: int) -> OneFactorization:
     """Round-robin (circle method) 1-factorization of K_{t2} on points 1..t2."""
     if t2 % 2 != 0 or t2 < 4:
         raise ParameterDomainError(f"1-factorization needs even order >= 4, got {t2}")
-    m = t2 - 1
-    factors = []
-    for i in range(m):
-        fac = [tuple(sorted((t2, i + 1)))]
-        for k in range(1, t2 // 2):
-            a = (i - k) % m + 1
-            b = (i + k) % m + 1
-            fac.append(tuple(sorted((a, b))))
-        factors.append(tuple(sorted(fac)))
-    of = OneFactorization(order=t2, factors=tuple(factors))
+    factors = tuple(tuple(sorted(circle_factor(t2, i))) for i in range(t2 - 1))
+    of = OneFactorization(order=t2, factors=factors)
     _check_one_factorization(of)
     return of
 

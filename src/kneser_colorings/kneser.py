@@ -44,15 +44,6 @@ def neighbour_bitsets(g):
     return bits
 
 
-def validate_ksubset(subset, n, k) -> None:
-    if len(subset) != k:
-        raise ParameterDomainError(f"subset {subset} does not have size {k}")
-    if list(subset) != sorted(set(subset)):
-        raise ParameterDomainError(f"subset {subset} is not strictly increasing")
-    if subset and (subset[0] < 1 or subset[-1] > n):
-        raise ParameterDomainError(f"subset {subset} not within 1..{n}")
-
-
 def kneser_order(n: int, k: int) -> int:
     """C(n,k), the vertex count of K(n,k), without building the graph."""
     if k < 1 or n < k:

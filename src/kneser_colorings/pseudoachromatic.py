@@ -1,7 +1,7 @@
 """Complete (not necessarily proper) colorings of K(n,2) realizing the psi bounds.
 
-The lower-bound coloring pairs edges inside the factors of a 4-cycle-free
-1-factorization (four cases by n mod 4); the tightness coloring at n = 20
+The lower-bound coloring pairs the edges of circle-method 1-factors in k
+order, no search (four cases by n mod 4); the tightness coloring at n = 20
 deletes a point of the (21,5,1)-design and labels the surviving blocks'
 pairs; matchings get the closed-form optimal coloring.
 """
@@ -11,8 +11,8 @@ from math import comb
 
 from .bounds import max_colors_for_pairs, psi_lower_kn2
 from .colorings import Coloring, verify_coloring
-from .designs import c4_free_one_factorization, construct_design_21_5_1
-from .errors import CertificateError, ParameterDomainError
+from .designs import circle_factor, construct_design_21_5_1
+from .errors import CertificateError, ForeignVertexError, ParameterDomainError
 from .kneser import build_kneser
 
 
@@ -20,27 +20,28 @@ def _pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _factor_classes(t2: int, seed: int, drop_vertex=None):
-    """Size-2 classes from pairing consecutive edges inside each 1-factor.
+def _factor_classes(t2: int, drop_infinity: bool = False):
+    """Size-2 classes from pairing the edges of each circle-method factor in k order.
 
-    With drop_vertex set, the factor loses its edge at that vertex first
-    (the maximal-matching case).
+    Classes from two factors F_a, F_b fail to see each other only on a C4 of
+    F_a u F_b; the circle method's only one is {inf, a, a-d, a+d} with
+    3d = 0 mod t2-1, and it joins the inf-edge and the k = d edge, which the
+    pairing (inf, 1), (2, 3), ... puts in one class only when t2 = 4.  With
+    drop_infinity the factor loses its inf-edge first (the maximal-matching
+    case) and pairs (1, 2), (3, 4), ...
     """
-    of = c4_free_one_factorization(t2, seed=seed)
     classes = []
-    for factor in of.factors:
-        edges = [e for e in factor if drop_vertex not in e] if drop_vertex else list(factor)
-        edges.sort()
-        for i in range(0, len(edges) - 1, 2):
-            classes.append((edges[i], edges[i + 1]))
+    for i in range(t2 - 1):
+        edges = circle_factor(t2, i)[int(drop_infinity):]
+        classes.extend(zip(edges[::2], edges[1::2]))
     return classes
 
 
-def psi_lower_coloring(n: int, seed: int = 0) -> Coloring:
+def psi_lower_coloring(n: int) -> Coloring:
     """A complete coloring of K(n,2) with exactly floor(C(n,2)/2) classes."""
     if n < 7:
         raise ParameterDomainError(f"psi lower construction needs n >= 7, got {n}")
-    classes = _psi_lower_classes(n, seed)
+    classes = _psi_lower_classes(n)
     coloring = Coloring(("kneser", n, 2), tuple(classes))
     want = psi_lower_kn2(n)
     if coloring.color_count != want:
@@ -51,26 +52,16 @@ def psi_lower_coloring(n: int, seed: int = 0) -> Coloring:
     return coloring
 
 
-def _psi_lower_classes(n: int, seed: int):
-    r = n % 4
-    if r == 0:
-        return _factor_classes(n, seed)
-    if r == 1:
-        return _factor_classes(n + 1, seed, drop_vertex=n + 1)
-    if r == 2:
-        # K_{n-2} as the 4k case plus classes {ax, xb}; the edge ab joins class 1
+def _psi_lower_classes(n: int):
+    # K_m for m = n or n-2, whichever is 0,1 mod 4: the 4k case uses the factors
+    # of K_m, the 4k+1 case those of K_{m+1} less its infinity point m+1
+    m = n if n % 4 < 2 else n - 2
+    classes = _factor_classes(m + m % 4, drop_infinity=m % 4 == 1)
+    if m < n:
+        # the spare points a, b add classes {ax, xb}; the edge ab joins class 1
         a, b = n - 1, n
-        classes = _factor_classes(n - 2, seed)
-        for x in range(1, n - 1):
-            classes.append((_pair(a, x), _pair(x, b)))
-        classes[0] = classes[0] + (_pair(a, b),)
-        return classes
-    # r == 3: K_{n-2} as the 4k+1 case plus {ax, xb}; ab reuses class 1
-    a, b = n - 1, n
-    classes = _factor_classes(n - 1, seed, drop_vertex=n - 1)
-    for x in range(1, n - 1):
-        classes.append((_pair(a, x), _pair(x, b)))
-    classes[0] = classes[0] + (_pair(a, b),)
+        classes.extend((_pair(a, x), _pair(x, b)) for x in range(1, n - 1))
+        classes[0] += (_pair(a, b),)
     return classes
 
 
@@ -137,7 +128,7 @@ class MatchingGraph:
 
     def index(self, v):
         if not 1 <= v <= 2 * self.m:
-            raise ValueError(f"vertex {v} outside matching of size {self.m}")
+            raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
         return v - 1
 
     def edges(self):

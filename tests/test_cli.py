@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -175,6 +176,8 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     '{"matching_size": -1, "classes": []}',
     '{"n": 0, "k": 2, "classes": []}',
     '{"n": 4, "k": 0, "classes": []}',
+    '{"points": [[1], [2, 3]], "k": 1, "classes": []}',
+    '{"points": [[0, 0, 1], [2, 3]], "k": 1, "classes": []}',
 ])
 def test_malformed_certificate_exits_2(tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -191,3 +194,120 @@ def test_condition_c_on_matching_exits_2(tmp_path):
     r = run("verify", "--coloring", str(out), "--checks", "proper,complete,condition-c")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+
+
+# each certificate has as many members as K(4,2) or the matching has vertices,
+# so the check reaches the foreign one
+@pytest.mark.parametrize("doc", [
+    {"n": 4, "k": 2, "classes": [[[1, 2]], [[1, 3]], [[1, 4]], [[2, 3]], [[2, 4]], [[1, 5]]]},
+    {"n": 4, "k": 2, "classes": [[[1, 2]], [[1, 3]], [[1, 4]], [[2, 3]], [[2, 4]], [[1, 2, 3]]]},
+    {"matching_size": 2, "classes": [[1, 2], [3, 9]]},
+])
+def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
+    from kneser_colorings import cli
+
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ForeignVertexError"
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n": 7, "blocks": 5}',
+    '{"n": 7, "blocks": [[1, 2, "x"]]}',
+    '[1, 2]',
+    '{"n": "x", "blocks": [[1, 2, 3]]}',
+    '{"n": 0, "blocks": [[1, 2, 3]]}',
+])
+def test_design_check_malformed_exits_2(tmp_path, capsys, doc):
+    from kneser_colorings import cli
+
+    path = tmp_path / "design.json"
+    path.write_text(doc)
+    assert cli.main(["design", "--check", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParameterDomainError"
+
+
+def test_verify_refuses_uncoverable_graph_before_building(tmp_path, monkeypatch, capsys):
+    from kneser_colorings import cli
+
+    def refuse(n, k):
+        raise AssertionError(f"K({n},{k}) built before its order was checked")
+
+    monkeypatch.setattr(cli, "build_kneser", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 200, "k": 100, "classes": [[list(range(1, 101))]]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CoverageError" and "cannot cover" in err["message"]
+    path.write_text(json.dumps({"matching_size": 10 ** 12, "classes": [[1], [2]]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CoverageError"
+
+
+def _partitions(st, sizes, vertices, document):
+    """Documents whose classes partition vertices(size) at random, members as lists."""
+    def split(size):
+        verts = [list(v) if isinstance(v, tuple) else v for v in vertices(size)]
+
+        def classes(colors):  # colors[j] in 0..5 is the class of verts[j]; drop empty ones
+            return [c for c in ([v for v, x in zip(verts, colors) if x == i] for i in range(6))
+                    if c]
+
+        return st.lists(st.integers(0, 5), min_size=len(verts), max_size=len(verts)).map(
+            lambda colors: document(size, classes(colors)))
+
+    return st.sampled_from(list(sizes)).flatmap(split)
+
+
+def test_cli_fuzz_exit_codes(tmp_path_factory):
+    """Random small certificates and design documents exit 0, 1 or 2, never raise."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from kneser_colorings import cli
+    from kneser_colorings.geometry import convex_position_points
+
+    label = st.integers(-3, 12)
+    subset = st.lists(label, max_size=4)
+    classes = st.lists(st.lists(subset, max_size=4), max_size=12)
+    kneser = st.fixed_dictionaries({"n": st.integers(-1, 7), "k": st.integers(-1, 4),
+                                    "classes": classes})
+    matching = st.fixed_dictionaries({"matching_size": st.integers(-1, 6),
+                                      "classes": st.lists(st.lists(label, max_size=4),
+                                                          max_size=8)})
+    dv = st.fixed_dictionaries({"points": st.lists(st.lists(label, max_size=3), max_size=7),
+                                "k": st.integers(-1, 4), "classes": classes})
+    # certificates that partition the vertices, so the checks themselves run
+    covering = st.one_of(
+        _partitions(st, [(n, k) for n in range(1, 7) for k in (1, 2, 3) if k <= n],
+                    lambda nk: combinations(range(1, nk[0] + 1), nk[1]),
+                    lambda nk, cls: {"n": nk[0], "k": nk[1], "classes": cls}),
+        _partitions(st, range(1, 7), lambda m: range(1, 2 * m + 1),
+                    lambda m, cls: {"matching_size": m, "classes": cls}),
+        _partitions(st, range(4, 8), lambda n: combinations(range(1, n + 1), 2),
+                    lambda n, cls: {"points": [list(p) for p in
+                                               convex_position_points(n).coords],
+                                    "k": 2, "classes": cls}))
+    design = st.fixed_dictionaries({"n": st.integers(-1, 9),
+                                    "blocks": st.lists(subset, max_size=8)})
+    # loosely shaped documents reach the schema checks
+    loose = st.recursive(
+        st.none() | st.booleans() | label | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["n", "k", "classes", "points", "matching_size", "blocks"]),
+            inner, max_size=4),
+        max_leaves=12)
+    checks = st.sampled_from(["proper,complete", "proper,complete,grundy,dominating",
+                              "complete,condition-c"])
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(doc=st.one_of(kneser, matching, dv, covering, design, loose),
+                      checks=checks)
+    def case(doc, checks):
+        path.write_text(json.dumps(doc))
+        argv = (["design", "--check", str(path)] if isinstance(doc, dict) and "blocks" in doc
+                else ["verify", "--coloring", str(path), "--checks", checks])
+        assert cli.main(argv) in (0, 1, 2)
+
+    case()

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair_count,
-                                      construct_design_21_5_1, construct_kts,
+                                      circle_factor, construct_design_21_5_1, construct_kts,
                                       construct_one_factorization, construct_sts,
                                       find_parallel_class, union_cycle_lengths,
                                       verify_design)
@@ -151,6 +151,19 @@ def test_c4_free_all_even_orders(t2):
 def test_c4_free_rejects_k4():
     with pytest.raises(ParameterDomainError):
         c4_free_one_factorization(4)
+
+
+@pytest.mark.parametrize("t2", [4, 6, 8, 10])
+def test_circle_factor_lists_edges_in_k_order(t2):
+    m = t2 - 1
+    for i in range(m):
+        fac = circle_factor(t2, i)
+        assert fac[0] == (i + 1, t2)  # the infinity edge first
+        for k, (a, b) in enumerate(fac[1:], start=1):
+            assert {(b - a) % m, (a - b) % m} == {2 * k % m, -2 * k % m}
+            assert (a - 1 + b - 1) % m == 2 * i % m  # symmetric about i
+    factors = tuple(tuple(sorted(circle_factor(t2, i))) for i in range(m))
+    assert construct_one_factorization(t2).factors == factors
 
 
 def test_circle_method_c4_profile():

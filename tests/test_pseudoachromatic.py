@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from kneser_colorings import designs, pseudoachromatic
 from kneser_colorings.colorings import verify_coloring
 from kneser_colorings.errors import ParameterDomainError
 from kneser_colorings.kneser import build_kneser
@@ -22,8 +23,14 @@ def test_lower_bound_class_counts(n, classes):
     assert c.color_count == classes == comb(n, 2) // 2
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 13, 14])
-def test_lower_bound_complete_by_naive_scan(n):
+@pytest.mark.parametrize("n", range(7, 21))  # every residue mod 4; the t2 = 10, 16 orders
+def test_lower_bound_complete_by_naive_scan(n, monkeypatch):
+    # the circle method alone suffices: no 4-cycle-free search on this path
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi lower coloring ran the 4-cycle-free search")
+
+    monkeypatch.setattr(designs, "c4_free_one_factorization", refuse)
+    monkeypatch.setattr(pseudoachromatic, "c4_free_one_factorization", refuse, raising=False)
     c = psi_lower_coloring(n)
     ok, witness = brute_complete(c.classes, _adjacent)
     assert ok, witness
@@ -35,8 +42,11 @@ def test_lower_bound_rejects_small_n():
 
 
 def test_lower_bound_covers_all_vertices():
-    for n in (7, 8, 9, 10):
+    # n = 52, 54 and 57 once needed 4-cycle-free factorizations of K_52 and K_58,
+    # whose search runs out of budget
+    for n in (*range(7, 65), 100, 120):
         c = psi_lower_coloring(n)
+        assert c.color_count == comb(n, 2) // 2
         verts = sorted(v for cls in c.classes for v in cls)
         assert len(verts) == comb(n, 2)
         assert verts == sorted(set(verts))
