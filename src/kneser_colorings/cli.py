@@ -197,8 +197,9 @@ def _cmd_design(plan) -> int:
         if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 1:
             raise ParameterDomainError("a design must be a JSON object with an integer n >= 1")
         blocks = tuple(sorted(tuple(sorted(b)) for b in _int_lists(doc["blocks"], "blocks")))
-        if not blocks:
-            raise ParameterDomainError("a design needs at least one block")
+        if not blocks or min(map(len, blocks)) < 2:
+            raise ParameterDomainError("a design needs at least one block, "
+                                       "and every block at least two points")
         n = doc["n"]
         k = len(blocks[0])
         b = len(blocks)

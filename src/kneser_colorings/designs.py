@@ -2,9 +2,11 @@
 
 Steiner triple systems come from the Bose (n = 3 mod 6) and Skolem
 (n = 1 mod 6) quasigroup constructions; a Bose system's parallel class is
-its transversal blocks, no search needed.  Kirkman systems use affine planes
-for n in {9, 27}, the classical PG(3,2) spread partition for n = 15, and a
-rotational starter search otherwise.  The (21,5,1)-design is PG(2,4).
+its transversal blocks, no search needed.  Kirkman systems KTS(n) take one
+of three routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2)
+spread partition, and every other n runs one rotational starter search
+(built for every n = 3 (mod 6) up to 129, so for every n = 9 (mod 18) up to
+387).  The (21,5,1)-design is PG(2,4).
 1-factorizations use the circle method, repaired to be 4-cycle-free by a
 seeded starter search when the circle method is not already (exactly the
 orders with 3 | 2t-1).
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb
 
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
@@ -75,12 +77,22 @@ class DesignReport:
 
 
 def verify_design(d: Design) -> DesignReport:
-    """Audit the three design axioms and the two parameter equations."""
+    """Audit the three design axioms and the two parameter equations.
+
+    A point in no block is reported alone, before the per-point and per-pair
+    audits, so a document's n costs no more than its blocks do.
+    """
     rep = DesignReport(params=d.params())
     for blk in d.blocks:
         if len(blk) != d.k or len(set(blk)) != d.k:
             rep.block_sizes_ok = False
             rep.failures.append(f"block {blk} does not have {d.k} distinct points")
+    covered = {p for blk in d.blocks for p in blk}
+    missing = next((p for p in range(1, d.n + 1) if p not in covered), None)
+    if missing is not None:
+        rep.replication_ok = False
+        rep.failures.append(f"point {missing} lies in no block")
+        return rep
     counts = {p: 0 for p in range(1, d.n + 1)}
     for blk in d.blocks:
         for p in blk:
@@ -232,36 +244,6 @@ def _check_resolution(res: Resolution) -> None:
         raise CertificateError("resolution does not partition the block set into r classes")
 
 
-def _ag_days(dim: int):
-    """Parallel classes of lines of AG(dim,3); a KTS(3^dim)."""
-    pts = [tuple(v) for v in product(range(3), repeat=dim)]
-    idx = {p: i + 1 for i, p in enumerate(pts)}
-
-    def add(a, b):
-        return tuple((x + y) % 3 for x, y in zip(a, b))
-
-    dirs = []
-    seen = set()
-    for v in pts[1:]:
-        if v not in seen:
-            seen.add(v)
-            seen.add(tuple((2 * x) % 3 for x in v))
-            dirs.append(v)
-    days = []
-    for dvec in dirs:
-        used = set()
-        day = []
-        for p in pts:
-            if p in used:
-                continue
-            q = add(p, dvec)
-            r = add(q, dvec)
-            used.update((p, q, r))
-            day.append(tuple(sorted((idx[p], idx[q], idx[r]))))
-        days.append(sorted(day))
-    return days
-
-
 def _pg32_days():
     """The schoolgirl solution: partition the 35 lines of PG(3,2) into 7 spreads."""
     pts = list(range(1, 16))
@@ -305,8 +287,6 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
     consumed by the fixed-day starters once; exact cover does the rest.
     """
     used01, used12, used02 = set(bs), {(c - b) % m for b, c in zip(bs, cs)}, set(cs)
-    if not (len(used01) == len(used12) == len(used02) == len(bs)):
-        return None
     avail = set()
     for lev in range(3):
         for d in range(1, (m - 1) // 2 + 1):
@@ -333,11 +313,14 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
     cols = [("pt", p) for p in points] + [("orb",) + o for o in sorted(avail)]
     try:
         sol = exact_cover(cols, rows, max_nodes=max_nodes)
-    except RuntimeError:
+    except SearchExhaustedError:
         return None
-    if sol is None:
-        return None
-    return [tri_of[r] for r in sol]
+    return None if sol is None else [tri_of[r] for r in sol]
+
+
+# Fixed-day starters (b_j), (c_j) for the orders m where the canonical
+# b_j = j, c_j = 2j admit no starter partition.
+_ROTATIONAL_STARTERS = {7: ((0, 1, 2), (0, 2, 5))}
 
 
 def _rotational_kts_days(n: int, max_nodes: int = 500000):
@@ -348,54 +331,63 @@ def _rotational_kts_days(n: int, max_nodes: int = 500000):
     """
     m = n // 3
     k = (m - 1) // 2
+    bs, cs = _ROTATIONAL_STARTERS.get(m, (range(1, k + 1), range(2, 2 * k + 1, 2)))
+    D = _rotational_day_orbit(m, bs, cs, max_nodes)
+    if D is None:
+        raise SearchExhaustedError(f"KTS({n}): no rotational starter partition found "
+                                   f"within the budget of {max_nodes} exact-cover nodes")
 
-    def days_from(bs, cs, D):
-        def tr(tri, i):
-            return tuple(sorted((m * lev + (x + i) % m + 1) for (x, lev) in tri))
+    def tr(tri, i):
+        return tuple(sorted((m * lev + (x + i) % m + 1) for (x, lev) in tri))
 
-        days = []
-        for b, c in zip(bs, cs):
-            starter = ((0, 0), (b, 1), (c, 2))
-            days.append(sorted(tr(starter, i) for i in range(m)))
-        for i in range(m):
-            days.append(sorted(tr(t, i) for t in D))
-        return days
+    days = [sorted(tr(((0, 0), (b, 1), (c, 2)), i) for i in range(m)) for b, c in zip(bs, cs)]
+    days += [sorted(tr(t, i) for t in D) for i in range(m)]
+    return days
 
-    canonical = (tuple(range(1, k + 1)), tuple((2 * j) % m for j in range(1, k + 1)))
-    D = _rotational_day_orbit(m, list(canonical[0]), list(canonical[1]), max_nodes)
-    if D is not None:
-        return days_from(canonical[0], canonical[1], D)
-    for bs in combinations(range(m), k):
-        for cs in permutations(range(m), k):
-            if len({(c - b) % m for b, c in zip(bs, cs)}) != k:
-                continue
-            D = _rotational_day_orbit(m, list(bs), list(cs), max_nodes)
-            if D is not None:
-                return days_from(bs, cs, D)
-    return None
+
+def _tripled_days(u: int):
+    """KTS(3u) from KTS(u) on X_u x Z_3, the point (x, i) labelled i*u + x.
+
+    Each day of KTS(u) and each s in Z_3 give the day of blocks
+    {(x,i), (y,i-s), (z,s-2i)}, one per block xyz of that day and i in Z_3
+    (the transversal design i+j+k = 0, resolved by i-j); the fibres
+    {(x,0), (x,1), (x,2)} make the last day.
+    """
+    res = construct_kts(u)
+    days = []
+    for cls in res.classes:
+        for s in range(3):
+            days.append(sorted(
+                tuple(sorted((i * u + x, (i - s) % 3 * u + y, (s - 2 * i) % 3 * u + z)))
+                for x, y, z in (res.design.blocks[bi] for bi in cls) for i in range(3)))
+    days.append([(x, u + x, 2 * u + x) for x in range(1, u + 1)])
+    return days
 
 
 _kts_cache: dict = {}
 
 
 def construct_kts(n: int) -> Resolution:
-    """A verified Kirkman triple system KTS(n); exists iff n = 3 (mod 6)."""
+    """A verified Kirkman triple system KTS(n); exists iff n = 3 (mod 6).
+
+    n = 9 (mod 18) is tripled from KTS(n/3), n = 15 is the PG(3,2) spread
+    partition, and every other n (above 3) comes from one rotational starter
+    search over Z_{n/3}.  That search succeeds for every n <= 129, so every
+    n = 3 (mod 6) up to 129, and every n = 9 (mod 18) up to 387, is built;
+    beyond that a search that runs out raises SearchExhaustedError.
+    """
     if n % 6 != 3 or n < 3:
         raise ParameterDomainError(f"KTS(n) requires n = 3 (mod 6), got {n}")
     if n in _kts_cache:
         return _kts_cache[n]
     if n == 3:
         days = [[(1, 2, 3)]]
-    elif n == 9:
-        days = _ag_days(2)
+    elif n % 18 == 9:
+        days = _tripled_days(n // 3)
     elif n == 15:
         days = _pg32_days()
-    elif n == 27:
-        days = _ag_days(3)
     else:
         days = _rotational_kts_days(n)
-        if days is None:
-            raise SearchExhaustedError(f"KTS({n}) resolution search exhausted")
     res = _resolution_from_days(n, days)
     _kts_cache[n] = res
     return res

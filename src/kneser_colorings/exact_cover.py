@@ -5,12 +5,15 @@ constrained column is chosen first, candidate rows are tried in sorted order.
 """
 from __future__ import annotations
 
+from .errors import SearchExhaustedError
+
 
 def exact_cover(columns, rows: dict, max_nodes: int | None = None):
     """Return a list of row ids covering every column exactly once, or None.
 
     rows maps row_id -> iterable of column ids.  Column ids not listed in
     `columns` are ignored; every column in `columns` must be covered.
+    Raises SearchExhaustedError once more than max_nodes nodes are searched.
     """
     want = set(columns)
     row_cols = {r: frozenset(c for c in cs if c in want) for r, cs in rows.items()}
@@ -26,7 +29,8 @@ def exact_cover(columns, rows: dict, max_nodes: int | None = None):
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
-            raise RuntimeError("exact cover node budget exhausted")
+            raise SearchExhaustedError(f"exact cover searched {nodes} nodes, "
+                                       f"over its budget of {max_nodes}")
         if not col_rows:
             return True
         c = min(col_rows, key=lambda cc: (len(col_rows[cc]), repr(cc)))

@@ -111,6 +111,11 @@ def test_design_construct_and_check(tmp_path):
     r = run("design", "--check", str(empty))
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10 ** 9, "blocks": [[1, 2, 3]]}))
+    r = run("design", "--check", str(huge))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["failures"] == ["point 4 lies in no block"]
 
 
 def test_design_kts_and_factorizations():
@@ -218,6 +223,8 @@ def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
     '[1, 2]',
     '{"n": "x", "blocks": [[1, 2, 3]]}',
     '{"n": 0, "blocks": [[1, 2, 3]]}',
+    '{"n": 6, "blocks": [[]]}',
+    '{"n": 1, "blocks": [[1]]}',
 ])
 def test_design_check_malformed_exits_2(tmp_path, capsys, doc):
     from kneser_colorings import cli

@@ -3,12 +3,14 @@ from math import comb
 
 import pytest
 
+from kneser_colorings import designs
 from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair_count,
                                       circle_factor, construct_design_21_5_1, construct_kts,
                                       construct_one_factorization, construct_sts,
                                       find_parallel_class, union_cycle_lengths,
                                       verify_design)
-from kneser_colorings.errors import CertificateError, ParameterDomainError
+from kneser_colorings.errors import (CertificateError, ParameterDomainError,
+                                     SearchExhaustedError)
 
 from conftest import brute_pair_cover
 
@@ -77,7 +79,7 @@ def test_parallel_class_checks_its_blocks():
         find_parallel_class(relabelled)
 
 
-@pytest.mark.parametrize("n", [9, 15, 21, 27, 33, 39])
+@pytest.mark.parametrize("n", list(range(3, 70, 6)) + [81, 117, 135])
 def test_kirkman_resolutions(n):
     res = construct_kts(n)
     d = res.design
@@ -91,6 +93,21 @@ def test_kirkman_resolutions(n):
         assert not seen & set(cls)
         seen.update(cls)
     assert len(seen) == d.b
+
+
+def test_kts_tripling_does_not_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rotational search run for a tripled KTS")
+
+    monkeypatch.setattr(designs, "_rotational_day_orbit", refuse)
+    monkeypatch.setattr(designs, "_kts_cache", {})
+    for n in (9, 27, 45, 81, 135):
+        assert len(construct_kts(n).classes) == (n - 1) // 2
+
+
+def test_kts_search_budget_is_typed():
+    with pytest.raises(SearchExhaustedError, match="budget of 10 "):
+        designs._rotational_kts_days(33, max_nodes=10)
 
 
 def test_kts_rejects_wrong_residue():

@@ -1,3 +1,6 @@
+import pytest
+
+from kneser_colorings.errors import SearchExhaustedError
 from kneser_colorings.exact_cover import exact_cover
 
 
@@ -8,6 +11,12 @@ def test_knuth_example():
     }
     sol = exact_cover(range(1, 8), rows)
     assert sorted(sol) == ["B", "D", "F"]
+
+
+def test_budget_exhausted_is_typed():
+    rows = {"A": [1, 4, 7], "B": [1, 4], "C": [4, 5, 7], "D": [3, 5, 6], "F": [2, 7]}
+    with pytest.raises(SearchExhaustedError, match="2 nodes, over its budget of 1"):
+        exact_cover(range(1, 8), rows, max_nodes=1)
 
 
 def test_unsolvable_returns_none():
