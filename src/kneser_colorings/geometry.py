@@ -4,6 +4,16 @@ D_V(n) has the segments spanned by V as vertices, adjacent when the closed
 segments are disjoint; D_V(n,k) generalizes to k-point subsets with
 disjoint convex hulls.  Everything below assumes (and enforces) general
 position: integer coordinates, no three points collinear.
+
+Adjacency rests on inner common tangents.  For points in general position
+and disjoint k-subsets A, B (k >= 2), hull(A) and hull(B) are disjoint iff
+some a in A and b in B have A - a strictly left of the directed line a->b and
+B - b strictly right of it; disjoint hulls have two inner tangents, one with
+A on each side, so one orientation suffices.  With left[p][q] the label
+mask of the points strictly left of p->q (filled by PointSet's orientation
+scan, one orientation per triple), D_V(n,k) is built from O(n^3 + V*k*n)
+big-int operations instead of C(V,2) hull tests.  The per-pair predicates
+(`segments_disjoint`, `hulls_disjoint`) stay as the independent reference.
 """
 from __future__ import annotations
 
@@ -14,10 +24,10 @@ from math import comb
 
 from .colorings import Coloring, verify_coloring
 from .designs import construct_sts
-from .errors import (CertificateError, ParameterDomainError, SearchExhaustedError,
-                     SizeCapError)
+from .errors import (CertificateError, ForeignVertexError, ParameterDomainError,
+                     SearchExhaustedError, SizeCapError)
 from .exact_cover import exact_cover
-from .kneser import bit_indices, colex_key
+from .kneser import bit_indices, colex_key, point_stars
 
 Point = tuple
 
@@ -111,17 +121,31 @@ def hulls_disjoint(pts_a, pts_b) -> bool:
 
 
 class PointSet:
-    """Labeled integer points 1..n in general position."""
+    """Labeled integer points 1..n in general position.
+
+    left[p][q] is the bitmask (bit x for label x) of the points strictly left
+    of the directed line from point p to point q.
+    """
 
     def __init__(self, coords):
         coords = tuple((int(x), int(y)) for x, y in coords)
         if len(set(coords)) != len(coords):
             raise ParameterDomainError("points must be distinct")
-        for a, b, c in combinations(range(len(coords)), 3):
-            if orientation(coords[a], coords[b], coords[c]) == 0:
+        n = len(coords)
+        left = [[0] * (n + 1) for _ in range(n + 1)]
+        for a, b, c in combinations(range(1, n + 1), 3):
+            o = orientation(coords[a - 1], coords[b - 1], coords[c - 1])
+            if o == 0:
                 raise ParameterDomainError(
-                    f"points {a + 1},{b + 1},{c + 1} are collinear; general position required")
+                    f"points {a},{b},{c} are collinear; general position required")
+            if o < 0:
+                b, c = c, b
+            # a, b, c counterclockwise: each lies left of the edge through the other two
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
         self.coords = coords
+        self.left = left
 
     def __len__(self):
         return len(self.coords)
@@ -179,7 +203,17 @@ def random_convex_position(n: int, seed: int = 0) -> PointSet:
 
 
 class DisjointnessGraph:
-    """D_V(n,k): k-subsets of the labels, adjacent iff their hulls are disjoint."""
+    """D_V(n,k): k-subsets of the labels, adjacent iff their hulls are disjoint.
+
+    adjacency_bitsets() uses the inner-tangent criterion of the module
+    docstring, which needs the general position PointSet enforces.  For each
+    anchor point a, tangent[b] holds the vertices B containing b with B - b
+    strictly left of b->a (star of b minus the stars of the points not
+    there); N(A) is the union of tangent[b] over a in A and the b with A - a
+    strictly left of a->b.  That is n(n-1) tangent rows of at most n star
+    unions, then per vertex k anchors of k-1 mask ANDs and one union per
+    tangent point.  adjacent_subsets() is the per-pair reference.
+    """
 
     def __init__(self, ps: PointSet, k: int):
         n = len(ps)
@@ -199,7 +233,7 @@ class DisjointnessGraph:
         try:
             return self._index[tuple(v)]
         except KeyError:
-            raise ParameterDomainError(f"{v} is not a vertex of this D_V") from None
+            raise ForeignVertexError(f"{v} is not a vertex of this D_V") from None
 
     def adjacent_subsets(self, u, v) -> bool:
         if set(u) & set(v):
@@ -210,15 +244,30 @@ class DisjointnessGraph:
                               [self.ps.coord(x) for x in v])
 
     def adjacency_bitsets(self):
+        """Per-vertex neighbour bitsets in index order (computed once, cached)."""
         if self._adj is None:
-            V = self.vertex_count
-            bits = [0] * V
-            for i in range(V):
-                for j in range(i + 1, V):
-                    if self.adjacent_subsets(self.vertices[i], self.vertices[j]):
-                        bits[i] |= 1 << j
-                        bits[j] |= 1 << i
-            self._adj = bits
+            n = len(self.ps)
+            left = self.ps.left
+            stars = point_stars(self.vertices, n)
+            labels = (1 << (n + 1)) - 2
+            rows = [0] * self.vertex_count
+            for a in range(1, n + 1):
+                tangent = [0] * (n + 1)
+                for b in bit_indices(labels ^ (1 << a)):
+                    off = 0
+                    for y in bit_indices((labels & ~left[b][a]) ^ (1 << b)):
+                        off |= stars[y]
+                    tangent[b] = stars[b] & ~off
+                for i in bit_indices(stars[a]):
+                    wedge = -1  # the b with A - a strictly left of a->b
+                    for x in self.vertices[i]:
+                        if x != a:
+                            wedge &= left[x][a]
+                    row = rows[i]
+                    for b in bit_indices(wedge):
+                        row |= tangent[b]
+                    rows[i] = row
+            self._adj = rows
         return self._adj
 
     def edges(self):
@@ -240,15 +289,11 @@ def thrackle_max_edges(ps: PointSet, cap: int = 7) -> int:
     n = len(ps)
     if n > cap:
         raise SizeCapError(f"thrackle search capped at {cap} points, got {n}")
-    segs = list(combinations(range(1, n + 1), 2))
-    V = len(segs)
-    meet = [0] * V
-    for i in range(V):
-        for j in range(i + 1, V):
-            if set(segs[i]) & set(segs[j]) or segments_intersect(
-                    ps.segment(segs[i]), ps.segment(segs[j])):
-                meet[i] |= 1 << j
-                meet[j] |= 1 << i
+    if n < 4:  # any two segments on at most three points share an end
+        return comb(n, 2)
+    adj = build_dv(ps, 2).adjacency_bitsets()
+    full = (1 << len(adj)) - 1
+    meet = [full ^ bits ^ (1 << i) for i, bits in enumerate(adj)]
     best = 0
 
     def grow(cand, size):
@@ -263,7 +308,7 @@ def thrackle_max_edges(ps: PointSet, cap: int = 7) -> int:
         grow(cand & meet[v], size + 1)
         grow(cand ^ low, size)
 
-    grow((1 << V) - 1, 0)
+    grow(full, 0)
     return best
 
 
@@ -285,19 +330,14 @@ class TrianglePairReport:
 def triangle_pair_check(ps: PointSet) -> TrianglePairReport:
     """Every two point triangles sharing <= 1 point contain two disjoint edges."""
     n = len(ps)
-    segs = list(combinations(range(1, n + 1), 2))
-    sidx = {s: i for i, s in enumerate(segs)}
-    disj = [0] * len(segs)  # bitset: segment pairs that are disjoint
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if not set(segs[i]) & set(segs[j]) and segments_disjoint(
-                    ps.segment(segs[i]), ps.segment(segs[j])):
-                disj[i] |= 1 << j
-                disj[j] |= 1 << i
+    if n < 5:  # two triangles on at most four points share an edge
+        return TrianglePairReport(pairs_checked=0, counterexamples=[])
+    g = build_dv(ps, 2)
+    disj = g.adjacency_bitsets()
     checked = 0
     bad = []
     tris = list(combinations(range(1, n + 1), 3))
-    tri_edges = [[sidx[e] for e in combinations(t, 2)] for t in tris]
+    tri_edges = [[g.index(e) for e in combinations(t, 2)] for t in tris]
     tri_mask = [sum(1 << e for e in es) for es in tri_edges]
     for a in range(len(tris)):
         for b in range(a + 1, len(tris)):
@@ -324,7 +364,9 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
     Odd n = 1,3 (mod 6): the blocks of STS(n) as triangle classes (any
     general-position set).  Even n (convex position): triangles of K_n - F
     plus the components of F, where F sits on the hull; n = 4 (mod 6) is
-    capped at n in {10, 16} (exact-cover decomposition scale).
+    capped at n in {10, 16} (exact-cover decomposition scale).  Declared
+    range: every supported n in 7..39 builds and self-verifies (swept in the
+    tests); other n raise ParameterDomainError.
     """
     n = len(ps)
     if n % 2 == 1:
@@ -406,6 +448,8 @@ def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:
     Points split by x-order into halves V1, V2; class i pairs the i-th
     k-subset of V1 with the i-th of V2 (cross-side hulls are always
     disjoint); straddling subsets are spread round-robin over the classes.
+    Declared range: even n in 4..22 with k = 2..min(4, n/2), random and
+    convex layouts (swept in the tests); odd n raises ParameterDomainError.
     """
     n = len(ps)
     if n % 2 == 1:

@@ -44,6 +44,16 @@ def neighbour_bitsets(g):
     return bits
 
 
+def point_stars(vertices, n: int) -> tuple:
+    """stars[x] is the bitset of the indices of the vertices (subsets of 1..n)
+    that contain point x; stars[0] = 0."""
+    rows = [bytearray((len(vertices) + 7) // 8) for _ in range(n + 1)]
+    for i, v in enumerate(vertices):
+        for x in v:
+            rows[x][i >> 3] |= 1 << (i & 7)
+    return tuple(int.from_bytes(row, "little") for row in rows)
+
+
 def kneser_order(n: int, k: int) -> int:
     """C(n,k), the vertex count of K(n,k), without building the graph."""
     if k < 1 or n < k:
@@ -83,11 +93,7 @@ class KneserGraph:
     @cached_property
     def stars(self) -> tuple:
         """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
-        rows = [bytearray((self.vertex_count + 7) // 8) for _ in range(self.n + 1)]
-        for i, v in enumerate(self.vertices):
-            for x in v:
-                rows[x][i >> 3] |= 1 << (i & 7)
-        return tuple(int.from_bytes(row, "little") for row in rows)
+        return point_stars(self.vertices, self.n)
 
     def neighbourhoods(self):
         """Yield the neighbour bitset of each vertex in index order.

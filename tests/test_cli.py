@@ -201,12 +201,14 @@ def test_condition_c_on_matching_exits_2(tmp_path):
     assert json.loads(r.stderr)["error"] == "ParameterDomainError"
 
 
-# each certificate has as many members as K(4,2) or the matching has vertices,
-# so the check reaches the foreign one
+# each certificate has as many members as K(4,2), the matching or D_V(4) has
+# vertices, so the check reaches the foreign one
 @pytest.mark.parametrize("doc", [
     {"n": 4, "k": 2, "classes": [[[1, 2]], [[1, 3]], [[1, 4]], [[2, 3]], [[2, 4]], [[1, 5]]]},
     {"n": 4, "k": 2, "classes": [[[1, 2]], [[1, 3]], [[1, 4]], [[2, 3]], [[2, 4]], [[1, 2, 3]]]},
     {"matching_size": 2, "classes": [[1, 2], [3, 9]]},
+    {"points": [[1, 1], [2, 4], [3, 9], [4, 16]], "k": 2,
+     "classes": [[[1, 2], [3, 4]], [[1, 3]], [[1, 4]], [[2, 3]], [[2, 5]]]},
 ])
 def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
     from kneser_colorings import cli

@@ -75,6 +75,43 @@ def test_dv_k3_consecutive_arcs():
     assert g.adjacent_subsets((1, 2, 3), (4, 5, 6))
 
 
+def test_left_masks_match_orientation():
+    for ps in (random_general_position(9, seed=4), convex_position_points(7)):
+        n = len(ps)
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                want = sum(1 << x for x in range(1, n + 1) if p != q and orientation(
+                    ps.coord(p), ps.coord(q), ps.coord(x)) > 0)
+                assert ps.left[p][q] == want
+
+
+def _all_pairs_bitsets(g):
+    """Neighbour bitsets from the per-pair hull or segment test."""
+    bits = [0] * g.vertex_count
+    for (i, u), (j, v) in combinations(enumerate(g.vertices), 2):
+        if g.adjacent_subsets(u, v):
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+    return bits
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tangent_adjacency_matches_all_pairs(k):
+    layouts = [random_general_position(n, seed=seed)
+               for seed in range(4) for n in range(2 * k, 11)]
+    layouts += [random_general_position(n, seed=n) for n in (11, 12)]
+    layouts += [convex_position_points(n) for n in (2 * k, 11)]
+    layouts += [random_convex_position(n, seed=n) for n in (2 * k + 1, 10)]
+    for ps in layouts:
+        g = build_dv(ps, k)
+        assert g.adjacency_bitsets() == _all_pairs_bitsets(g), (ps.coords, k)
+
+
+def test_tangent_adjacency_matches_all_pairs_benchmark_size():
+    g = build_dv(random_general_position(16, seed=41), 3)
+    assert g.adjacency_bitsets() == _all_pairs_bitsets(g)
+
+
 def test_thrackle_convex_equals_n():
     for n in range(3, 8):
         assert thrackle_max_edges(convex_position_points(n)) == n
@@ -138,6 +175,28 @@ def test_dv_coloring_domain_errors():
     assert not nonconvex.convex_position
     with pytest.raises(ParameterDomainError):
         dv_achromatic_coloring(nonconvex)
+
+
+def test_dv_coloring_sweep():
+    """Every n in 7..39 that dv_achromatic_coloring supports builds and self-verifies."""
+    for n in range(7, 40):
+        if n % 2 and n % 6 in (1, 3):
+            c = dv_achromatic_coloring(random_general_position(n, seed=n))
+            assert c.color_count == comb(n, 2) // 3
+        elif n % 6 in (0, 2):
+            assert dv_achromatic_coloring(convex_position_points(n)).color_count == \
+                comb(n + 1, 2) // 3
+        elif n in (10, 16):
+            assert dv_achromatic_coloring(convex_position_points(n)).color_count == \
+                (n * n + n - 8) // 6
+
+
+def test_dvnk_sweep():
+    """dvnk_lower_coloring builds and self-verifies on even n in 4..22, k = 2..min(4, n/2)."""
+    for n in range(4, 23, 2):
+        for ps in (random_general_position(n, seed=n), convex_position_points(n)):
+            for k in range(2, min(4, n // 2) + 1):
+                assert dvnk_lower_coloring(ps, k).color_count == comb(n // 2, k)
 
 
 @pytest.mark.parametrize("n,k,classes", [(8, 2, 6), (6, 2, 3), (12, 3, 20)])
