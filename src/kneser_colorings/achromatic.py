@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .bounds import alpha_upper_kn2
-from .colorings import Coloring, check_condition_C, verify_coloring
+from .colorings import Coloring, certify, check_condition_C
 from .designs import construct_sts, find_parallel_class
 from .errors import CertificateError, ParameterDomainError, ShapeError
 from .kneser import build_kneser
@@ -27,10 +27,12 @@ K52_PATTERN = (((1, 2), (2, 4)), ((2, 3), (3, 5)), ((1, 4), (3, 4)),
 
 
 def _pair(a: int, b: int):
+    """The vertex of K(n,2) joining K_n points a and b."""
     return (a, b) if a < b else (b, a)
 
 
 def _triangle_class(a: int, b: int, c: int):
+    """The three vertices of K(n,2) inside the triple {a, b, c}, sorted."""
     return tuple(sorted((_pair(a, b), _pair(a, c), _pair(b, c))))
 
 
@@ -182,24 +184,16 @@ def achromatic_coloring(n: int) -> Coloring:
         classes = _case3(n)
     else:
         classes = _case4(n)
-    coloring = Coloring(("kneser", n, 2), tuple(classes))
-    _certify(coloring, n)
-    return coloring
+    return _certify(Coloring(("kneser", n, 2), tuple(classes)), n)
 
 
-def _certify(coloring: Coloring, n: int) -> None:
-    want = alpha_upper_kn2(n)
-    if coloring.color_count != want:
-        raise CertificateError(
-            f"construction for n={n} built {coloring.color_count} classes, wants {want}")
-    g = build_kneser(n, 2)
-    rep = verify_coloring(g, coloring, checks={"proper", "complete"})
-    if not (rep.proper and rep.complete):
-        raise CertificateError(f"self-verification failed for n={n}: {rep.witnesses}")
+def _certify(coloring: Coloring, n: int) -> Coloring:
+    certify(build_kneser(n, 2), coloring, {"proper", "complete"}, count=alpha_upper_kn2(n))
     if n != 3:  # K(3,2) is edgeless; its single class has no accounting to satisfy
         cc = check_condition_C(coloring)
         if not cc.passes:
             raise CertificateError(f"condition (C) failed for n={n}: {cc.problems}")
+    return coloring
 
 
 def grundy_relabel(coloring: Coloring) -> Coloring:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CoverageError, ParameterDomainError
-from .kneser import bit_indices, neighbour_bitsets
+from .errors import CertificateError, CoverageError, ParameterDomainError
+from .kneser import bit_indices
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
 
@@ -124,9 +124,9 @@ def _class_masks(g, coloring: Coloring):
 def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
     """Exhaustively verify the requested properties of a coloring on g.
 
-    g is any graph object exposing vertices, vertex_count, index() and
-    neighbour bitsets: neighbourhoods() (K(n,k), computed from its point
-    stars one vertex at a time), adjacency_bitsets() or edges().  Per class
+    g is any graph of the kneser.Graph protocol; its neighbourhoods() are
+    streamed once (on K(n,k) each is computed from the point stars and
+    dropped when the next is read, so no adjacency list is held).  Per class
     c, with mask M_c and U_c the union of its members' neighbourhoods:
     proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
@@ -144,10 +144,9 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
     l = coloring.color_count
     rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())
 
-    nbhds = g.neighbourhoods() if hasattr(g, "neighbourhoods") else neighbour_bitsets(g)
     unions = [0] * l
     proper_witness = None
-    for i, nbrs in enumerate(nbhds):
+    for i, nbrs in enumerate(g.neighbourhoods()):
         ci = cls_of[i]
         unions[ci] |= nbrs
         # the least i with a same-class neighbour starts the least pair, and
@@ -198,6 +197,30 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
             before &= unions[c]
 
     return rep
+
+
+def _host_name(graph_id) -> str:
+    kind, base, *k = graph_id  # base: n, the points, or the matching size
+    if kind == "matching":
+        return f"matching of {base} edges"
+    return f"K({base},{k[0]})" if kind == "kneser" else f"D_V({len(base)},{k[0]})"
+
+
+def certify(g, coloring: Coloring, checks, count=None) -> Coloring:
+    """Return coloring if it has count classes (when count is given) and
+    passes every check on g; otherwise raise CertificateError naming the
+    class count or the failed checks, so that no constructor emits a
+    coloring it has not verified."""
+    host = _host_name(coloring.graph_id)
+    if count is not None and coloring.color_count != count:
+        raise CertificateError(
+            f"{host} coloring built {coloring.color_count} classes, wants {count}")
+    rep = verify_coloring(g, coloring, checks)
+    failed = sorted(c for c in checks if not getattr(rep, c))
+    if failed:
+        raise CertificateError(
+            f"{host} coloring failed {', '.join(failed)}: {rep.witnesses}")
+    return coloring
 
 
 @dataclass

@@ -609,9 +609,10 @@ def _backtrack_c4_free(t2: int, seed: int, node_budget: int):
 
 
 _c4free_cache: dict = {}
+C4F_BUDGET = 10 ** 6  # search nodes for the C4-free repair (starter tries ~ this / t2^2)
 
 
-def c4_free_one_factorization(t2: int, seed: int = 0, budget: int = 10 ** 6) -> OneFactorization:
+def c4_free_one_factorization(t2: int, seed: int = 0) -> OneFactorization:
     """A 1-factorization of K_{t2} in which no two factors' union has a C4 component.
 
     The circle method already qualifies unless 3 | t2-1 (the only C4 it ever
@@ -630,15 +631,15 @@ def c4_free_one_factorization(t2: int, seed: int = 0, budget: int = 10 ** 6) -> 
     if c4_pair_count(of) != 0:
         if t2 == 10:
             # Z_9 admits only 9 starters and none develops C4-free.
-            of = _backtrack_c4_free(t2, seed, budget)
+            of = _backtrack_c4_free(t2, seed, C4F_BUDGET)
         else:
-            starter_tries = max(1, budget // (t2 * t2))
+            starter_tries = max(1, C4F_BUDGET // (t2 * t2))
             of = _starter_c4_free(t2, seed, starter_tries)
             if of is None:
-                of = _backtrack_c4_free(t2, seed, budget)
+                of = _backtrack_c4_free(t2, seed, C4F_BUDGET)
         if of is None:
             raise SearchExhaustedError(f"no 4-cycle-free 1-factorization of K_{t2} "
-                                       f"found within budget {budget}")
+                                       f"found within budget {C4F_BUDGET}")
     _check_one_factorization(of)
     if c4_pair_count(of) != 0:
         raise CertificateError("repaired factorization still has a C4 component")

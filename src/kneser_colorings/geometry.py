@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .colorings import Coloring, verify_coloring
+from .achromatic import _pair, _triangle_class
+from .colorings import Coloring, certify
 from .designs import construct_sts
-from .errors import (CertificateError, ForeignVertexError, ParameterDomainError,
-                     SearchExhaustedError, SizeCapError)
+from .errors import ParameterDomainError, SearchExhaustedError, SizeCapError
 from .exact_cover import exact_cover
-from .kneser import bit_indices, colex_key, point_stars
+from .kneser import SubsetGraph, bit_indices
 
 Point = tuple
+THRACKLE_CAP = 7  # points; the clique search behind thrackle_max_edges is exponential
 
 
 def orientation(p, q, r) -> int:
@@ -172,12 +173,13 @@ def convex_position_points(n: int) -> PointSet:
     return PointSet([(i, i * i) for i in range(1, n + 1)])
 
 
-def random_general_position(n: int, seed: int = 0, span: int | None = None) -> PointSet:
-    """Rejection-sampled random integer points with no three collinear."""
+def random_general_position(n: int, seed: int = 0) -> PointSet:
+    """Rejection-sampled random integer points in [0, max(4n^2, 64))^2 with no
+    three collinear."""
     if n < 1:
         raise ParameterDomainError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
-    span = span or max(4 * n * n, 64)
+    span = max(4 * n * n, 64)
     pts: list = []
     attempts = 0
     while len(pts) < n:
@@ -202,8 +204,13 @@ def random_convex_position(n: int, seed: int = 0) -> PointSet:
     return PointSet(sorted((x, x * x) for x in xs))
 
 
-class DisjointnessGraph:
+class DisjointnessGraph(SubsetGraph):
     """D_V(n,k): k-subsets of the labels, adjacent iff their hulls are disjoint.
+
+    D_V(n,k) is a spanning subgraph of K(n,k) and shares its vertex model
+    (kneser.SubsetGraph): the same colex vertex tuple, index() and point
+    stars; only the adjacency differs, and so K(n,k)'s closed-form counts
+    (regular_degree, edge_count) are not defined here.
 
     adjacency_bitsets() uses the inner-tangent criterion of the module
     docstring, which needs the general position PointSet enforces.  For each
@@ -219,21 +226,9 @@ class DisjointnessGraph:
         n = len(ps)
         if k < 2 or 2 * k > n:
             raise ParameterDomainError(f"D_V needs 2 <= k <= n/2, got k={k}, n={n}")
+        super().__init__(n, k)
         self.ps = ps
-        self.k = k
-        self.vertices = tuple(sorted(combinations(range(1, n + 1), k), key=colex_key))
-        self._index = {v: i for i, v in enumerate(self.vertices)}
         self._adj = None
-
-    @property
-    def vertex_count(self):
-        return len(self.vertices)
-
-    def index(self, v):
-        try:
-            return self._index[tuple(v)]
-        except KeyError:
-            raise ForeignVertexError(f"{v} is not a vertex of this D_V") from None
 
     def adjacent_subsets(self, u, v) -> bool:
         if set(u) & set(v):
@@ -246,9 +241,9 @@ class DisjointnessGraph:
     def adjacency_bitsets(self):
         """Per-vertex neighbour bitsets in index order (computed once, cached)."""
         if self._adj is None:
-            n = len(self.ps)
+            n = self.n
             left = self.ps.left
-            stars = point_stars(self.vertices, n)
+            stars = self.stars
             labels = (1 << (n + 1)) - 2
             rows = [0] * self.vertex_count
             for a in range(1, n + 1):
@@ -270,25 +265,22 @@ class DisjointnessGraph:
             self._adj = rows
         return self._adj
 
-    def edges(self):
-        for i, nbrs in enumerate(self.adjacency_bitsets()):
-            for j in bit_indices(nbrs >> (i + 1)):
-                yield i, i + 1 + j
+    def neighbourhoods(self):
+        return iter(self.adjacency_bitsets())
 
 
 def build_dv(ps: PointSet, k: int) -> DisjointnessGraph:
     return DisjointnessGraph(ps, k)
 
 
-def thrackle_max_edges(ps: PointSet, cap: int = 7) -> int:
+def thrackle_max_edges(ps: PointSet) -> int:
     """Maximum number of pairwise meeting segments (a straight-line thrackle).
 
-    Max clique in the complement of D_V(n); capped because the clique search
-    is exponential.
+    Max clique in the complement of D_V(n); capped at THRACKLE_CAP points.
     """
     n = len(ps)
-    if n > cap:
-        raise SizeCapError(f"thrackle search capped at {cap} points, got {n}")
+    if n > THRACKLE_CAP:
+        raise SizeCapError(f"thrackle search capped at {THRACKLE_CAP} points, got {n}")
     if n < 4:  # any two segments on at most three points share an end
         return comb(n, 2)
     adj = build_dv(ps, 2).adjacency_bitsets()
@@ -349,15 +341,6 @@ def triangle_pair_check(ps: PointSet) -> TrianglePairReport:
     return TrianglePairReport(pairs_checked=checked, counterexamples=bad)
 
 
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
-
-
-def _triangle_class(blk):
-    a, b, c = blk
-    return tuple(sorted((_pair(a, b), _pair(a, c), _pair(b, c))))
-
-
 def dv_achromatic_coloring(ps: PointSet) -> Coloring:
     """A proper complete coloring of D_V(n).
 
@@ -374,7 +357,7 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
             raise ParameterDomainError(
                 f"odd route needs n = 1,3 (mod 6) for an STS({n}); got n={n}")
         sts = construct_sts(n)
-        classes = [_triangle_class(blk) for blk in sts.blocks]
+        classes = [_triangle_class(*blk) for blk in sts.blocks]
         expect = comb(n, 2) // 3
     else:
         if not ps.convex_position:
@@ -390,13 +373,7 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
             classes = _even_forest_route(n, hull)
             expect = (n * n + n - 8) // 6
     coloring = Coloring(("dv", ps.coords, 2), tuple(classes))
-    if coloring.color_count != expect:
-        raise CertificateError(
-            f"D_V coloring built {coloring.color_count} classes, wants {expect}")
-    rep = verify_coloring(build_dv(ps, 2), coloring, checks={"proper", "complete"})
-    if not (rep.proper and rep.complete):
-        raise CertificateError(f"D_V coloring failed verification: {rep.witnesses}")
-    return coloring
+    return certify(build_dv(ps, 2), coloring, {"proper", "complete"}, count=expect)
 
 
 def _even_matching_route(n, hull):
@@ -410,7 +387,7 @@ def _even_matching_route(n, hull):
         relab[x] = hull[2 * i]
         relab[y] = hull[2 * i + 1]
     classes = [(_pair(hull[2 * i], hull[2 * i + 1]),) for i in range(len(matching))]
-    triangles = [_triangle_class(tuple(sorted(relab[p] for p in blk)))
+    triangles = [_triangle_class(*(relab[p] for p in blk))
                  for blk in sts.blocks if v not in blk]
     return triangles + classes
 
@@ -436,7 +413,7 @@ def _even_forest_route(n, hull):
     sol = exact_cover([("e",) + e for e in edges], rows, max_nodes=500000)
     if sol is None:
         raise SearchExhaustedError(f"no triangle decomposition of K_{n} - F found")
-    classes = [_triangle_class(tri_of[r]) for r in sorted(sol)]
+    classes = [_triangle_class(*tri_of[r]) for r in sorted(sol)]
     classes.append(tuple(sorted(star)))
     classes.extend((e,) for e in matching)
     return classes
@@ -456,21 +433,14 @@ def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:
         raise ParameterDomainError(f"halving construction needs even n, got {n}")
     if k < 2 or 2 * k > n:
         raise ParameterDomainError(f"need 2 <= k <= n/2, got k={k}")
-    labels = sorted(range(1, n + 1), key=lambda i: ps.coord(i))
-    v1, v2 = labels[:n // 2], labels[n // 2:]
-    side1 = sorted((tuple(sorted(c)) for c in combinations(v1, k)), key=colex_key)
-    side2 = sorted((tuple(sorted(c)) for c in combinations(v2, k)), key=colex_key)
+    g = build_dv(ps, k)
+    v1 = set(sorted(range(1, n + 1), key=ps.coord)[:n // 2])
+    side1 = [v for v in g.vertices if v1.issuperset(v)]  # colex order, like g.vertices
+    side2 = [v for v in g.vertices if v1.isdisjoint(v)]
     classes = [[a, b] for a, b in zip(side1, side2)]
     used = set(side1) | set(side2)
-    leftovers = [v for v in sorted(combinations(range(1, n + 1), k), key=colex_key)
-                 if v not in used]
+    leftovers = [v for v in g.vertices if v not in used]
     for i, v in enumerate(leftovers):
         classes[i % len(classes)].append(v)
-    coloring = Coloring(("dv", ps.coords, k),
-                        tuple(tuple(sorted(cls)) for cls in classes))
-    if coloring.color_count != comb(n // 2, k):
-        raise CertificateError("halving coloring has the wrong class count")
-    rep = verify_coloring(build_dv(ps, k), coloring, checks={"complete"})
-    if not rep.complete:
-        raise CertificateError(f"halving coloring incomplete: {rep.witnesses}")
-    return coloring
+    coloring = Coloring(("dv", ps.coords, k), tuple(tuple(sorted(cls)) for cls in classes))
+    return certify(g, coloring, {"complete"}, count=comb(n // 2, k))

@@ -28,32 +28,6 @@ def bit_indices(bits: int):
         i = digits.find("1", i + 1)
 
 
-def neighbour_bitsets(g):
-    """Per-vertex neighbour bitsets of any graph, in index order.
-
-    Bit j of entry i is set iff vertices i and j are adjacent.  Uses the
-    graph's adjacency_bitsets() where it has one, and builds them from its
-    edges() (index pairs) otherwise.
-    """
-    if hasattr(g, "adjacency_bitsets"):
-        return g.adjacency_bitsets()
-    bits = [0] * g.vertex_count
-    for i, j in g.edges():
-        bits[i] |= 1 << j
-        bits[j] |= 1 << i
-    return bits
-
-
-def point_stars(vertices, n: int) -> tuple:
-    """stars[x] is the bitset of the indices of the vertices (subsets of 1..n)
-    that contain point x; stars[0] = 0."""
-    rows = [bytearray((len(vertices) + 7) // 8) for _ in range(n + 1)]
-    for i, v in enumerate(vertices):
-        for x in v:
-            rows[x][i >> 3] |= 1 << (i & 7)
-    return tuple(int.from_bytes(row, "little") for row in rows)
-
-
 def kneser_order(n: int, k: int) -> int:
     """C(n,k), the vertex count of K(n,k), without building the graph."""
     if k < 1 or n < k:
@@ -61,8 +35,36 @@ def kneser_order(n: int, k: int) -> int:
     return comb(n, k)
 
 
-class KneserGraph:
-    """Immutable K(n,k). Adjacency is subset disjointness."""
+class Graph:
+    """The graph protocol that verification and the oracles use.
+
+    A graph has `vertices` in index order, index() (raising
+    ForeignVertexError) and neighbourhoods(), which yields each vertex's
+    neighbour bitset in index order (bit j of entry i is set iff vertices i
+    and j are adjacent).  adjacency_bitsets() and edges() derive from it.
+    """
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
+
+    def adjacency_bitsets(self):
+        """Per-vertex neighbour bitsets, as a new list (not cached)."""
+        return list(self.neighbourhoods())
+
+    def edges(self):
+        """Yield index pairs (i, j), i < j, of adjacent vertices, in index order."""
+        for i, nbrs in enumerate(self.neighbourhoods()):
+            for j in bit_indices(nbrs >> (i + 1)):
+                yield i, i + 1 + j
+
+
+class SubsetGraph(Graph):
+    """A graph on the k-subsets of 1..n, in colex order.
+
+    K(n,k) and every D_V(n,k) share this vertex model: the same vertex
+    tuple, index and point stars, and differ only in their adjacency.
+    """
 
     def __init__(self, n: int, k: int):
         kneser_order(n, k)
@@ -71,29 +73,33 @@ class KneserGraph:
         self.vertices = tuple(sorted(combinations(range(1, n + 1), k), key=colex_key))
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def regular_degree(self) -> int:
-        return comb(self.n - self.k, self.k)
-
     def index(self, v) -> int:
         try:
             return self._index[tuple(v)]
         except KeyError:
             raise ForeignVertexError(f"{v} is not a vertex of K({self.n},{self.k})") from None
 
+    @cached_property
+    def stars(self) -> tuple:
+        """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
+        rows = [bytearray((self.vertex_count + 7) // 8) for _ in range(self.n + 1)]
+        for i, v in enumerate(self.vertices):
+            for x in v:
+                rows[x][i >> 3] |= 1 << (i & 7)
+        return tuple(int.from_bytes(row, "little") for row in rows)
+
+
+class KneserGraph(SubsetGraph):
+    """Immutable K(n,k). Adjacency is subset disjointness."""
+
+    @property
+    def regular_degree(self) -> int:
+        return comb(self.n - self.k, self.k)
+
     def adjacent_subsets(self, u, v) -> bool:
         if tuple(u) not in self._index or tuple(v) not in self._index:
             raise ForeignVertexError(f"{u} or {v} is not a vertex of K({self.n},{self.k})")
         return not set(u) & set(v)
-
-    @cached_property
-    def stars(self) -> tuple:
-        """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
-        return point_stars(self.vertices, self.n)
 
     def neighbourhoods(self):
         """Yield the neighbour bitset of each vertex in index order.
@@ -108,16 +114,6 @@ class KneserGraph:
             for x in v:
                 met |= stars[x]
             yield full ^ met
-
-    def adjacency_bitsets(self):
-        """Per-vertex neighbour bitsets, as a new list (not cached)."""
-        return list(self.neighbourhoods())
-
-    def edges(self):
-        """Yield index pairs (i, j), i < j, of adjacent vertices, in colex index order."""
-        for i, nbrs in enumerate(self.neighbourhoods()):
-            for j in bit_indices(nbrs >> (i + 1)):
-                yield i, i + 1 + j
 
     def edge_count(self) -> int:
         return self.vertex_count * self.regular_degree // 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import SizeCapError
-from .kneser import bit_indices, neighbour_bitsets
+from .kneser import bit_indices
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def exact_chromatic(g, cap: int = 24) -> OracleResult:
     """Minimum proper coloring size, by iterative deepening from a clique bound."""
     check_cap(g.vertex_count, cap, "exact_chromatic")
     t0 = time.perf_counter()
-    adj = neighbour_bitsets(g)
+    adj = g.adjacency_bitsets()
     V = len(adj)
     if V == 0:
         return OracleResult("chi", 0, 0, time.perf_counter() - t0)
@@ -116,7 +116,7 @@ def exact_chromatic(g, cap: int = 24) -> OracleResult:
 def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
     check_cap(g.vertex_count, cap, f"exact_{param}")
     t0 = time.perf_counter()
-    adj = neighbour_bitsets(g)
+    adj = g.adjacency_bitsets()
     V = len(adj)
     E = sum(a.bit_count() for a in adj) // 2
     deg = [a.bit_count() for a in adj]
@@ -193,7 +193,7 @@ def exact_grundy(g, cap: int = 16) -> OracleResult:
     """Maximum l admitting a Grundy l-coloring (every color j sees all i < j)."""
     check_cap(g.vertex_count, cap, "exact_grundy")
     t0 = time.perf_counter()
-    adj = neighbour_bitsets(g)
+    adj = g.adjacency_bitsets()
     V = len(adj)
     if V == 0:
         return OracleResult("grundy", 0, 0, time.perf_counter() - t0)

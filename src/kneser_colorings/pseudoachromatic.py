@@ -7,17 +7,12 @@ pairs; matchings get the closed-form optimal coloring.
 """
 from __future__ import annotations
 
-from math import comb
-
+from .achromatic import _pair
 from .bounds import max_colors_for_pairs, psi_lower_kn2
-from .colorings import Coloring, verify_coloring
+from .colorings import Coloring, certify
 from .designs import circle_factor, construct_design_21_5_1
-from .errors import CertificateError, ForeignVertexError, ParameterDomainError
-from .kneser import build_kneser
-
-
-def _pair(a, b):
-    return (a, b) if a < b else (b, a)
+from .errors import ForeignVertexError, ParameterDomainError
+from .kneser import Graph, build_kneser
 
 
 def _factor_classes(t2: int, drop_infinity: bool = False):
@@ -41,15 +36,8 @@ def psi_lower_coloring(n: int) -> Coloring:
     """A complete coloring of K(n,2) with exactly floor(C(n,2)/2) classes."""
     if n < 7:
         raise ParameterDomainError(f"psi lower construction needs n >= 7, got {n}")
-    classes = _psi_lower_classes(n)
-    coloring = Coloring(("kneser", n, 2), tuple(classes))
-    want = psi_lower_kn2(n)
-    if coloring.color_count != want:
-        raise CertificateError(f"psi lower built {coloring.color_count} classes, wants {want}")
-    rep = verify_coloring(build_kneser(n, 2), coloring, checks={"complete"})
-    if not rep.complete:
-        raise CertificateError(f"psi lower completeness failed at n={n}: {rep.witnesses}")
-    return coloring
+    coloring = Coloring(("kneser", n, 2), tuple(_psi_lower_classes(n)))
+    return certify(build_kneser(n, 2), coloring, {"complete"}, count=psi_lower_kn2(n))
 
 
 def _psi_lower_classes(n: int):
@@ -107,33 +95,25 @@ def psi_tight_coloring(n: int = 20) -> Coloring:
     for e in f_edges:
         classes.append((e,))
     coloring = Coloring(("kneser", 20, 2), tuple(classes))
-    if coloring.color_count != 100:
-        raise CertificateError(f"tight coloring built {coloring.color_count} classes, wants 100")
-    rep = verify_coloring(build_kneser(20, 2), coloring, checks={"complete"})
-    if not rep.complete:
-        raise CertificateError(f"tightness completeness failed: {rep.witnesses}")
-    return coloring
+    return certify(build_kneser(20, 2), coloring, {"complete"}, count=100)
 
 
-class MatchingGraph:
+class MatchingGraph(Graph):
     """Disjoint union of m edges; vertex t's partner is t +- m (1-based)."""
 
     def __init__(self, m: int):
         self.m = m
         self.vertices = tuple(range(1, 2 * m + 1))
 
-    @property
-    def vertex_count(self):
-        return 2 * self.m
-
     def index(self, v):
         if not 1 <= v <= 2 * self.m:
             raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
         return v - 1
 
-    def edges(self):
-        for t in range(self.m):
-            yield t, t + self.m
+    def neighbourhoods(self):
+        m = self.m
+        for i in range(2 * m):
+            yield 1 << (i + m if i < m else i - m)
 
 
 def matching_coloring(m: int) -> Coloring:
@@ -153,11 +133,7 @@ def matching_coloring(m: int) -> Coloring:
         color[t + 1 + m] = j
     classes = tuple(tuple(v for v in range(1, 2 * m + 1) if color[v] == c)
                     for c in range(1, r + 1))
-    coloring = Coloring(("matching", m), classes)
-    rep = verify_coloring(MatchingGraph(m), coloring, checks={"proper", "complete"})
-    if not (rep.proper and rep.complete):
-        raise CertificateError(f"matching coloring failed: {rep.witnesses}")
-    return coloring
+    return certify(MatchingGraph(m), Coloring(("matching", m), classes), {"proper", "complete"})
 
 
 def kneser_matching_coloring(k: int) -> Coloring:
@@ -178,9 +154,5 @@ def kneser_matching_coloring(k: int) -> Coloring:
         comp = tuple(sorted(full - set(rep_v)))
         classes[color[t + 1]].append(rep_v)
         classes[color[t + 1 + m]].append(comp)
-    coloring = Coloring(("kneser", 2 * k, k),
-                        tuple(tuple(sorted(cls)) for cls in classes))
-    rep = verify_coloring(g, coloring, checks={"proper", "complete"})
-    if not (rep.proper and rep.complete):
-        raise CertificateError(f"K(2k,k) matching coloring failed: {rep.witnesses}")
-    return coloring
+    coloring = Coloring(("kneser", 2 * k, k), tuple(tuple(sorted(cls)) for cls in classes))
+    return certify(g, coloring, {"proper", "complete"})

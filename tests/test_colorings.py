@@ -5,9 +5,10 @@ from itertools import count
 import pytest
 
 from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring
-from kneser_colorings.colorings import (Coloring, check_condition_C, coloring_from_json,
-                                        verify_coloring)
-from kneser_colorings.errors import CoverageError
+from kneser_colorings import pseudoachromatic
+from kneser_colorings.colorings import (Coloring, certify, check_condition_C,
+                                        coloring_from_json, verify_coloring)
+from kneser_colorings.errors import CertificateError, CoverageError
 from kneser_colorings.geometry import build_dv, random_general_position
 from kneser_colorings.kneser import KneserGraph, build_kneser
 from kneser_colorings.pseudoachromatic import MatchingGraph, _five_block_classes
@@ -228,3 +229,37 @@ def test_kneser_verification_never_scans_edges(monkeypatch):
     g = build_kneser(7, 3)
     rep = verify_coloring(g, Coloring(("kneser", 7, 3), (g.vertices[:20], g.vertices[20:])))
     assert not rep.proper and rep.complete
+
+
+def test_certify_returns_a_passing_coloring():
+    c = Coloring(("kneser", 5, 2), K52_PATTERN)
+    assert certify(build_kneser(5, 2), c, {"proper", "complete"}, count=5) is c
+
+
+def test_certify_refuses_a_wrong_class_count():
+    c = Coloring(("kneser", 5, 2), K52_PATTERN)
+    with pytest.raises(CertificateError, match=r"K\(5,2\) coloring built 5 classes, wants 6"):
+        certify(build_kneser(5, 2), c, {"proper", "complete"}, count=6)
+
+
+def test_certify_names_an_improper_class():
+    g = build_kneser(5, 2)
+    c = Coloring(("kneser", 5, 2), (g.vertices,))
+    with pytest.raises(CertificateError, match="failed proper: ") as err:
+        certify(g, c, {"proper", "complete"})
+    assert "complete" not in str(err.value)
+
+
+def test_certify_names_an_incomplete_pair():
+    g = build_kneser(5, 2)
+    c = Coloring(("kneser", 5, 2), tuple((v,) for v in g.vertices))
+    with pytest.raises(CertificateError, match="failed complete: ") as err:
+        certify(g, c, {"proper", "complete"})
+    assert "proper" not in str(err.value)
+
+
+def test_constructor_withholds_a_coloring_missing_a_class(monkeypatch):
+    full = pseudoachromatic._psi_lower_classes
+    monkeypatch.setattr(pseudoachromatic, "_psi_lower_classes", lambda n: full(n)[1:])
+    with pytest.raises(CertificateError, match=r"K\(9,2\) coloring built 17 classes, wants 18"):
+        pseudoachromatic.psi_lower_coloring(9)

@@ -3,12 +3,13 @@ from math import comb
 
 import pytest
 
-from kneser_colorings.errors import ParameterDomainError, SizeCapError
+from kneser_colorings.errors import ForeignVertexError, ParameterDomainError, SizeCapError
 from kneser_colorings.geometry import (PointSet, build_dv, convex_position_points,
                                        dv_achromatic_coloring, dvnk_lower_coloring,
                                        orientation, random_convex_position,
                                        random_general_position, segments_disjoint,
                                        thrackle_max_edges, triangle_pair_check)
+from kneser_colorings.kneser import build_kneser
 
 
 def test_orientation_examples():
@@ -95,21 +96,41 @@ def _all_pairs_bitsets(g):
     return bits
 
 
+def _assert_kneser_subgraph(g, k):
+    """D_V(n,k) has K(n,k)'s vertex model, a subset of its adjacency, and no
+    K(n,k)-only count that disagrees with its own edges."""
+    kg = build_kneser(g.n, k)
+    assert g.vertices == kg.vertices and g.stars == kg.stars
+    assert [g.index(v) for v in kg.vertices] == list(range(kg.vertex_count))
+    with pytest.raises(ForeignVertexError):
+        g.index((0,) * k)
+    dv_rows = g.adjacency_bitsets()
+    assert all(dv & ~kn == 0 for dv, kn in zip(dv_rows, kg.adjacency_bitsets()))
+    edges = list(g.edges())
+    assert len(edges) == sum(map(int.bit_count, dv_rows)) // 2
+    if hasattr(g, "edge_count"):
+        assert g.edge_count() == len(edges)
+    if hasattr(g, "regular_degree"):
+        assert all(row.bit_count() == g.regular_degree for row in dv_rows)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_tangent_adjacency_matches_all_pairs(k):
     layouts = [random_general_position(n, seed=seed)
                for seed in range(4) for n in range(2 * k, 11)]
     layouts += [random_general_position(n, seed=n) for n in (11, 12)]
-    layouts += [convex_position_points(n) for n in (2 * k, 11)]
-    layouts += [random_convex_position(n, seed=n) for n in (2 * k + 1, 10)]
+    layouts += [convex_position_points(n) for n in (2 * k, 11, 12)]
+    layouts += [random_convex_position(n, seed=n) for n in (2 * k + 1, 10, 12)]
     for ps in layouts:
         g = build_dv(ps, k)
         assert g.adjacency_bitsets() == _all_pairs_bitsets(g), (ps.coords, k)
+        _assert_kneser_subgraph(g, k)
 
 
 def test_tangent_adjacency_matches_all_pairs_benchmark_size():
     g = build_dv(random_general_position(16, seed=41), 3)
     assert g.adjacency_bitsets() == _all_pairs_bitsets(g)
+    _assert_kneser_subgraph(g, 3)
 
 
 def test_thrackle_convex_equals_n():

@@ -22,8 +22,12 @@ class SmallGraph:
     def index(self, v):
         return v
 
-    def edges(self):
-        return iter(self._edges)
+    def adjacency_bitsets(self):
+        bits = [0] * len(self.vertices)
+        for i, j in self._edges:
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+        return bits
 
 
 def test_chromatic_values():
