@@ -22,8 +22,6 @@ from math import comb
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
 from .exact_cover import exact_cover
 
-Block = tuple  # sorted tuple of point labels
-
 
 @dataclass(frozen=True)
 class Design:
@@ -281,10 +279,11 @@ def _pair_orbit(p, q, m):
 
 
 def _rotational_day_orbit(m, bs, cs, max_nodes):
-    """Starter partition D for the rotational KTS(3m) ansatz, if one exists.
+    """Starter partition D for the rotational KTS(3m) ansatz, or None if none exists.
 
     D must hit each pure difference orbit once and each mixed orbit not
     consumed by the fixed-day starters once; exact cover does the rest.
+    Raises SearchExhaustedError once the search passes max_nodes nodes.
     """
     used01, used12, used02 = set(bs), {(c - b) % m for b, c in zip(bs, cs)}, set(cs)
     avail = set()
@@ -311,10 +310,7 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
         tri_of[rid] = tri
         rid += 1
     cols = [("pt", p) for p in points] + [("orb",) + o for o in sorted(avail)]
-    try:
-        sol = exact_cover(cols, rows, max_nodes=max_nodes)
-    except SearchExhaustedError:
-        return None
+    sol = exact_cover(cols, rows, max_nodes=max_nodes)
     return None if sol is None else [tri_of[r] for r in sol]
 
 
@@ -332,10 +328,17 @@ def _rotational_kts_days(n: int, max_nodes: int = 500000):
     m = n // 3
     k = (m - 1) // 2
     bs, cs = _ROTATIONAL_STARTERS.get(m, (range(1, k + 1), range(2, 2 * k + 1, 2)))
-    D = _rotational_day_orbit(m, bs, cs, max_nodes)
+    try:
+        D = _rotational_day_orbit(m, bs, cs, max_nodes)
+    except SearchExhaustedError as exc:
+        raise SearchExhaustedError(
+            f"KTS({n}): the rotational starter search stopped after {exc.nodes} "
+            f"exact-cover nodes, over its budget of {max_nodes} nodes",
+            nodes=exc.nodes, budget=max_nodes) from exc
     if D is None:
-        raise SearchExhaustedError(f"KTS({n}): no rotational starter partition found "
-                                   f"within the budget of {max_nodes} exact-cover nodes")
+        raise SearchExhaustedError(
+            f"KTS({n}): a complete exact-cover search found no rotational starter "
+            f"partition for the fixed-day starters b = {tuple(bs)}, c = {tuple(cs)}")
 
     def tr(tri, i):
         return tuple(sorted((m * lev + (x + i) % m + 1) for (x, lev) in tri))

@@ -22,7 +22,16 @@ class ShapeError(ValueError):
 
 
 class SearchExhaustedError(RuntimeError):
-    """A bounded search ran out of budget without finding a certificate."""
+    """A search ended without a certificate: it ran out of budget or found none.
+
+    A search that counts nodes sets `nodes` (how many it searched) and
+    `budget` (how many it was allowed); both are None otherwise.
+    """
+
+    def __init__(self, message, nodes=None, budget=None):
+        super().__init__(message)
+        self.nodes = nodes
+        self.budget = budget
 
 
 class CertificateError(RuntimeError):

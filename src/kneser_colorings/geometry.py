@@ -29,7 +29,6 @@ from .errors import ParameterDomainError, SearchExhaustedError, SizeCapError
 from .exact_cover import exact_cover
 from .kneser import SubsetGraph, bit_indices
 
-Point = tuple
 THRACKLE_CAP = 7  # points; the clique search behind thrackle_max_edges is exponential
 
 
@@ -230,7 +229,7 @@ class DisjointnessGraph(SubsetGraph):
         self.ps = ps
         self._adj = None
 
-    def adjacent_subsets(self, u, v) -> bool:
+    def _adjacent(self, u, v) -> bool:
         if set(u) & set(v):
             return False
         if self.k == 2:

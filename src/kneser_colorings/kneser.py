@@ -12,8 +12,6 @@ from math import comb
 
 from .errors import ForeignVertexError, ParameterDomainError
 
-KSubset = tuple  # sorted tuple of distinct ints in 1..n
-
 
 def colex_key(subset):
     return tuple(reversed(subset))
@@ -63,7 +61,8 @@ class SubsetGraph(Graph):
     """A graph on the k-subsets of 1..n, in colex order.
 
     K(n,k) and every D_V(n,k) share this vertex model: the same vertex
-    tuple, index and point stars, and differ only in their adjacency.
+    tuple, index and point stars, and differ only in their adjacency
+    (neighbourhoods() and the pair rule _adjacent()).
     """
 
     def __init__(self, n: int, k: int):
@@ -78,6 +77,12 @@ class SubsetGraph(Graph):
             return self._index[tuple(v)]
         except KeyError:
             raise ForeignVertexError(f"{v} is not a vertex of K({self.n},{self.k})") from None
+
+    def adjacent_subsets(self, u, v) -> bool:
+        """Whether vertices u and v are adjacent: the per-pair reference."""
+        if tuple(u) not in self._index or tuple(v) not in self._index:
+            raise ForeignVertexError(f"{u} or {v} is not a vertex of K({self.n},{self.k})")
+        return self._adjacent(u, v)
 
     @cached_property
     def stars(self) -> tuple:
@@ -96,9 +101,7 @@ class KneserGraph(SubsetGraph):
     def regular_degree(self) -> int:
         return comb(self.n - self.k, self.k)
 
-    def adjacent_subsets(self, u, v) -> bool:
-        if tuple(u) not in self._index or tuple(v) not in self._index:
-            raise ForeignVertexError(f"{u} or {v} is not a vertex of K({self.n},{self.k})")
+    def _adjacent(self, u, v) -> bool:
         return not set(u) & set(v)
 
     def neighbourhoods(self):

@@ -106,8 +106,23 @@ def test_kts_tripling_does_not_search(monkeypatch):
 
 
 def test_kts_search_budget_is_typed():
-    with pytest.raises(SearchExhaustedError, match="budget of 10 "):
+    with pytest.raises(SearchExhaustedError, match="budget of 10 ") as info:
         designs._rotational_kts_days(33, max_nodes=10)
+    assert "stopped after 11 exact-cover nodes" in str(info.value)
+    assert (info.value.nodes, info.value.budget) == (11, 10)
+
+
+def test_kts_complete_search_without_starter_says_so(monkeypatch):
+    monkeypatch.setattr(designs, "_ROTATIONAL_STARTERS", {})
+    with pytest.raises(SearchExhaustedError, match="complete exact-cover search found no"):
+        designs._rotational_kts_days(21)
+
+
+def test_kts51_starter_search_order_is_pinned():
+    """KTS(51)'s starter search takes exactly 3837 exact-cover nodes."""
+    assert designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=3837)
+    with pytest.raises(SearchExhaustedError, match="3837 nodes, over its budget of 3836"):
+        designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=3836)
 
 
 def test_kts_rejects_wrong_residue():

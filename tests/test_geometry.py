@@ -76,6 +76,13 @@ def test_dv_k3_consecutive_arcs():
     assert g.adjacent_subsets((1, 2, 3), (4, 5, 6))
 
 
+@pytest.mark.parametrize("u,v", [((0, 3), (4, 5)), ((1, 9), (2, 3)), ((1, 2, 3), (4, 5))])
+def test_dv_adjacent_subsets_rejects_foreign_vertices(u, v):
+    g = build_dv(convex_position_points(6), 2)
+    with pytest.raises(ForeignVertexError):
+        g.adjacent_subsets(u, v)
+
+
 def test_left_masks_match_orientation():
     for ps in (random_general_position(9, seed=4), convex_position_points(7)):
         n = len(ps)

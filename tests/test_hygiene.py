@@ -1,16 +1,21 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used, and every constant is read.
 
-__init__.py is skipped: its imports are the package's re-exports.
+An import must be used in its own module; __init__.py is skipped, its
+imports are the package's re-exports.  A module-level name bound by a plain
+assignment must be read (as a name or an attribute) somewhere under src/ or
+tests/; dunder names such as __all__ are read by Python itself.
 """
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import kneser_colorings
 
-MODULES = sorted(p for p in Path(kneser_colorings.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(kneser_colorings.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -26,6 +31,33 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _read_names(trees):
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+@cache
+def _read_in_readers():
+    return _read_names(ast.parse(p.read_text()) for p in READERS)
+
+
+def _unread_assignments(tree, read):
+    assigned = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        assigned[name.id] = node.lineno
+    return sorted((line, name) for name, line in assigned.items() if name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -34,3 +66,15 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from math import comb, isqrt\nimport json as j\nprint(isqrt(4))\n")
     assert _unused_imports(tree) == [(1, "comb"), (2, "j")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_constant_is_read(path):
+    assert _unread_assignments(ast.parse(path.read_text()), _read_in_readers()) == []
+
+
+def test_detects_an_unread_assignment():
+    tree = ast.parse("Alias = tuple\nLIMIT, CAP = 3, 4\n__all__ = []\n"
+                     "def f():\n    return LIMIT\n")
+    reader = ast.parse("import mod\nprint(mod.CAP)\n")
+    assert _unread_assignments(tree, _read_names([tree, reader])) == [(1, "Alias")]
