@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure (witnesses in the JSON
 output), 2 parameter-domain or usage errors.  Certificates are JSON,
-bounds tables CSV, graph exports DOT or JSON.  The randomized searches
-(design --type 1f-c4free, geom's random layouts) take --seed and are
-deterministic for a fixed seed.
+bounds tables CSV, graph exports DOT or JSON.  Every command accepts
+--seed; only geom's random layouts read it, and they are deterministic for a
+fixed seed.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .pseudoachromatic import MatchingGraph
 def _add_common(p):
     p.add_argument("--out", help="write the primary output to this file instead of stdout")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for design --type 1f-c4free and geom's random layouts")
+                   help="seed for geom's random layouts (other commands ignore it)")
 
 
 def parse_invocation(argv):
@@ -139,6 +139,9 @@ def _graph_for(coloring: Coloring):
 
 
 def _cmd_verify(plan) -> int:
+    wanted = [c.strip() for c in plan.checks.split(",") if c.strip()]
+    if not wanted:
+        raise ParameterDomainError(f"--checks {plan.checks!r} names no check")
     with open(plan.coloring) as fh:
         coloring = coloring_from_json(fh.read())
     kind = coloring.graph_id[0]
@@ -149,7 +152,6 @@ def _cmd_verify(plan) -> int:
             raise ParameterDomainError(f"certificate has n={coloring.graph_id[1]}, not {plan.n}")
         if plan.k is not None and plan.k != coloring.graph_id[2]:
             raise ParameterDomainError(f"certificate has k={coloring.graph_id[2]}, not {plan.k}")
-    wanted = [c.strip() for c in plan.checks.split(",") if c.strip()]
     cond_c = "condition-c" in wanted
     wanted = [c for c in wanted if c != "condition-c"]
     g = _graph_for(coloring)
@@ -227,7 +229,7 @@ def _cmd_design(plan) -> int:
         if plan.type == "1f":
             of = designs.construct_one_factorization(plan.order)
         else:
-            of = designs.c4_free_one_factorization(plan.order, seed=plan.seed)
+            of = designs.c4_free_one_factorization(plan.order)
         doc = {"order": of.order,
                "factors": [[list(e) for e in fac] for fac in of.factors]}
     _emit(plan, json.dumps(doc, sort_keys=True))

@@ -7,13 +7,12 @@ of three routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2)
 spread partition, and every other n runs one rotational starter search
 (built for every n = 3 (mod 6) up to 129, so for every n = 9 (mod 18) up to
 387).  The (21,5,1)-design is PG(2,4).
-1-factorizations use the circle method, repaired to be 4-cycle-free by a
-seeded starter search when the circle method is not already (exactly the
-orders with 3 | 2t-1).
+1-factorizations use the circle method.  Where it is not 4-cycle-free
+(exactly the orders with 3 | 2t-1) the 4-cycle-free one develops a starter
+of Z_{2t-1} found by one deterministic search, or, for K_10, is a fixed table.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
@@ -216,9 +215,7 @@ def find_parallel_class(d: Design):
 
 def _resolution_from_days(n: int, days) -> Resolution:
     blocks = tuple(sorted(blk for day in days for blk in day))
-    index = {}
-    for i, blk in enumerate(blocks):
-        index[blk] = i
+    index = {blk: i for i, blk in enumerate(blocks)}
     classes = tuple(tuple(sorted(index[blk] for blk in day)) for day in days)
     design = _checked(Design(n=n, blocks=blocks, k=3, r=(n - 1) // 2, lam=1))
     res = Resolution(design=design, classes=classes)
@@ -400,57 +397,40 @@ def construct_kts(n: int) -> Resolution:
 # The projective plane of order 4 as a (21,5,1)-design
 
 
+# GF(4) as {0, 1, w, w+1} with w^2 = w+1, encoded 0..3 (bit0 = 1, bit1 = w)
+_GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
 @cache
 def construct_design_21_5_1() -> Design:
     """Points and lines of PG(2,4) over the 4-element field."""
-    gf_mul = _gf4_mul_table()
-    pts = _pg2_points(gf_mul)
+    pts = _pg2_points()
     idx = {p: i + 1 for i, p in enumerate(pts)}
     blocks = []
     for line in pts:  # lines are also normalized triples; incidence <a,x> = 0
-        blk = tuple(sorted(idx[p] for p in pts if _dot4(line, p, gf_mul) == 0))
+        blk = tuple(sorted(idx[p] for p in pts if _dot4(line, p) == 0))
         blocks.append(blk)
     d = Design(n=21, blocks=tuple(sorted(blocks)), k=5, r=5, lam=1)
     return _checked(d)
 
 
-def _gf4_mul_table():
-    # GF(4) as {0, 1, w, w+1} with w^2 = w+1, encoded 0..3 (bit0 = 1, bit1 = w)
-    table = [[0] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            acc = 0
-            aa = a
-            bb = b
-            for bit in range(2):
-                if (bb >> bit) & 1:
-                    shifted = aa
-                    for _ in range(bit):
-                        shifted <<= 1
-                        if shifted & 4:
-                            shifted ^= 7  # x^2 = x + 1
-                    acc ^= shifted
-            table[a][b] = acc
-    return table
-
-
-def _pg2_points(mul):
+def _pg2_points():
     pts = []
     for v in product(range(4), repeat=3):
         if v == (0, 0, 0):
             continue
         pivot = next(x for x in v if x)
-        inv = next(y for y in range(1, 4) if mul[pivot][y] == 1)
-        norm = tuple(mul[x][inv] for x in v)
+        inv = next(y for y in range(1, 4) if _GF4_MUL[pivot][y] == 1)
+        norm = tuple(_GF4_MUL[x][inv] for x in v)
         if norm not in pts:
             pts.append(norm)
     return pts
 
 
-def _dot4(a, b, mul):
+def _dot4(a, b):
     s = 0
     for x, y in zip(a, b):
-        s ^= mul[x][y]
+        s ^= _GF4_MUL[x][y]
     return s
 
 
@@ -495,26 +475,17 @@ def _check_one_factorization(of: OneFactorization) -> None:
 
 def union_cycle_lengths(f1, f2, t2: int):
     """Component cycle lengths of the union of two disjoint perfect matchings."""
-    nxt1, nxt2 = {}, {}
-    for a, b in f1:
-        nxt1[a] = b
-        nxt1[b] = a
-    for a, b in f2:
-        nxt2[a] = b
-        nxt2[b] = a
+    nxt = [{a: b for e in f for a, b in (e, e[::-1])} for f in (f1, f2)]
     seen = set()
     out = []
     for v in range(1, t2 + 1):
-        if v in seen:
-            continue
-        ln = 0
-        cur, use1 = v, True
-        while cur not in seen:
+        ln, cur = 0, v
+        while cur not in seen:  # alternate f1, f2 edges around v's cycle
             seen.add(cur)
+            cur = nxt[ln % 2][cur]
             ln += 1
-            cur = nxt1[cur] if use1 else nxt2[cur]
-            use1 = not use1
-        out.append(ln)
+        if ln:
+            out.append(ln)
     return out
 
 
@@ -523,128 +494,106 @@ def c4_pair_count(of: OneFactorization) -> int:
                if 4 in union_cycle_lengths(f1, f2, of.order))
 
 
-def _random_starter(m: int, rng: random.Random):
-    """Perfect matching of Z_m - {0} using each difference class once."""
-    while True:
-        elems = set(range(1, m))
-        diffs = list(range(1, (m - 1) // 2 + 1))
-        rng.shuffle(diffs)
-        pairs = []
-        dead = False
-        for d in diffs:
-            cands = [a for a in elems if (a + d) % m in elems and (a + d) % m != a]
-            if not cands:
-                dead = True
-                break
-            a = rng.choice(cands)
-            b = (a + d) % m
-            pairs.append((a, b))
-            elems.discard(a)
-            elems.discard(b)
-        if not dead and not elems:
-            return pairs
+# Z_9 has no 4-cycle-free starter (the complete search finds none), so K_10 is
+# fixed: the first 4-cycle-free 1-factorization that backtracking factor by
+# factor, candidates in sorted order, reaches.
+_K10_FACTORS = (
+    ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)), ((1, 3), (2, 5), (4, 7), (6, 9), (8, 10)),
+    ((1, 4), (2, 6), (3, 8), (5, 10), (7, 9)), ((1, 5), (2, 4), (3, 9), (6, 8), (7, 10)),
+    ((1, 6), (2, 3), (4, 10), (5, 7), (8, 9)), ((1, 7), (2, 9), (3, 5), (4, 8), (6, 10)),
+    ((1, 8), (2, 10), (3, 7), (4, 6), (5, 9)), ((1, 9), (2, 8), (3, 10), (4, 5), (6, 7)),
+    ((1, 10), (2, 7), (3, 6), (4, 9), (5, 8)))
+C4F_BUDGET = 200_000  # nodes of the 4-cycle-free starter search
 
 
-def _starter_c4_free(t2: int, seed: int, tries: int):
-    """Develop random starters over Z_{t2-1} + infinity until C4-free."""
-    m = t2 - 1
-    rng = random.Random(seed)
-    for _ in range(tries):
-        starter = _random_starter(m, rng)
-        factors = []
-        for i in range(m):
-            fac = [tuple(sorted((t2, i + 1)))]
-            for a, b in starter:
-                fac.append(tuple(sorted(((a + i) % m + 1, (b + i) % m + 1))))
-            factors.append(tuple(sorted(fac)))
-        # translation symmetry: checking factor 0 against all offsets suffices
-        if all(4 not in union_cycle_lengths(factors[0], factors[d], t2)
-               for d in range(1, m)):
-            return OneFactorization(order=t2, factors=tuple(factors))
-    return None
+def _c4_free_starter(m: int):
+    """Pairs of a starter of Z_m (m odd) that develops 4-cycle-free, or None if none does.
 
-
-def _backtrack_c4_free(t2: int, seed: int, node_budget: int):
-    """Factor-by-factor search with a C4 audit at every completed factor."""
-    rng = random.Random(seed)
-    edges_left = set(frozenset(e) for e in combinations(range(1, t2 + 1), 2))
-    factors = []
+    A starter pairs up Z_m - {0}, each difference class +-d (d = 1..(m-1)/2)
+    once; with {inf, 0} it is the factor F_0, and F_i = F_0 + i.  By
+    translation, F_0 u F_d for d = 1..(m-1)/2 holds every C4 up to a shift.
+    The search pairs the smallest unpaired a with a + d, then a - d, over the
+    unused d from largest to smallest.  The new pair puts {a, b} in F_0 and
+    {a+d, b+d} in F_d, so a C4 it closes passes a or a+d: the walk S, S_d, S,
+    S_d from there returns (S the partial starter, S_d(x) = S(x-d) + d).
+    Raises SearchExhaustedError once the search passes C4F_BUDGET nodes.
+    """
+    inf, half = m, (m - 1) // 2
+    partner = [inf] + [None] * (m - 1)  # S on Z_m, the pair {inf, 0} fixed
+    used = [False] * (half + 1)
     nodes = 0
 
-    def matchings(avail):
-        def rec(rem, chosen):
-            if not rem:
-                yield list(chosen)
-                return
-            p = min(rem)
-            cands = [e for e in avail if p in e and e <= rem]
-            rng.shuffle(cands)
-            for e in cands:
-                chosen.append(tuple(sorted(e)))
-                yield from rec(rem - e, chosen)
-                chosen.pop()
+    def closes_c4(x, d):  # the walk S, S_d, S, S_d from x returns to x
+        y = x
+        for e in (0, d, 0, d):  # y's partner in F_e, F_e = F_0 + e
+            if y == inf:
+                y = e
+            else:
+                y = partner[(y - e) % m]
+                if y is None:
+                    return False
+                if y != inf:
+                    y = (y + e) % m
+        return y == x
 
-        yield from rec(frozenset(range(1, t2 + 1)), [])
-
-    def rec():
+    def grow():
         nonlocal nodes
-        if len(factors) == t2 - 1:
+        nodes += 1
+        if nodes > C4F_BUDGET:
+            raise SearchExhaustedError(
+                f"no 4-cycle-free 1-factorization of K_{m + 1}: the starter search "
+                f"stopped after {nodes} nodes, over its budget of {C4F_BUDGET}",
+                nodes=nodes, budget=C4F_BUDGET)
+        if None not in partner:
             return True
-        for mt in matchings(edges_left):
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            if any(4 in union_cycle_lengths(mt, f, t2) for f in factors):
-                continue
-            factors.append(tuple(sorted(mt)))
-            for e in mt:
-                edges_left.discard(frozenset(e))
-            if rec():
-                return True
-            for e in mt:
-                edges_left.add(frozenset(e))
-            factors.pop()
+        a = partner.index(None)
+        for d in range(half, 0, -1):
+            for b in ((a + d) % m, (a - d) % m):
+                if used[d] or partner[b] is not None:
+                    continue
+                partner[a], partner[b], used[d] = b, a, True
+                if not any(closes_c4(x, e) for e in range(1, half + 1)
+                           for x in (a, (a + e) % m)) and grow():
+                    return True
+                partner[a] = partner[b] = None
+                used[d] = False
         return False
 
-    if rec():
-        return OneFactorization(order=t2, factors=tuple(factors))
-    return None
+    return [(a, b) for a, b in enumerate(partner) if a < b < m] if grow() else None
 
 
-_c4free_cache: dict = {}
-C4F_BUDGET = 10 ** 6  # search nodes for the C4-free repair (starter tries ~ this / t2^2)
-
-
-def c4_free_one_factorization(t2: int, seed: int = 0) -> OneFactorization:
+@cache
+def c4_free_one_factorization(t2: int) -> OneFactorization:
     """A 1-factorization of K_{t2} in which no two factors' union has a C4 component.
 
     The circle method already qualifies unless 3 | t2-1 (the only C4 it ever
-    produces is {inf, i, i+d, i+2d} with 3d = 0 mod t2-1).  For the offending
-    orders a seeded starter search repairs it; K_10 admits no such cyclic
-    starter and falls back to a direct backtracking search.
+    produces is {inf, i, i+d, i+2d} with 3d = 0 mod t2-1).  At those orders
+    the factors develop the starter of Z_{t2-1} that `_c4_free_starter`
+    finds, except K_10, a fixed table.  Declared for every even t2 in 6..46;
+    above that the search may pass its budget and raise SearchExhaustedError,
+    as it does at 58, 64 and 70.
     """
     if t2 % 2 != 0 or t2 < 6:
         raise ParameterDomainError(
             f"4-cycle-free 1-factorization needs even order >= 6, got {t2} "
             "(any two 1-factors of K_4 union into a 4-cycle)")
-    key = (t2, seed)
-    if key in _c4free_cache:
-        return _c4free_cache[key]
-    of = construct_one_factorization(t2)
-    if c4_pair_count(of) != 0:
-        if t2 == 10:
-            # Z_9 admits only 9 starters and none develops C4-free.
-            of = _backtrack_c4_free(t2, seed, C4F_BUDGET)
-        else:
-            starter_tries = max(1, C4F_BUDGET // (t2 * t2))
-            of = _starter_c4_free(t2, seed, starter_tries)
-            if of is None:
-                of = _backtrack_c4_free(t2, seed, C4F_BUDGET)
-        if of is None:
-            raise SearchExhaustedError(f"no 4-cycle-free 1-factorization of K_{t2} "
-                                       f"found within budget {C4F_BUDGET}")
+    m = t2 - 1
+    if t2 == 10:
+        of = OneFactorization(order=t2, factors=_K10_FACTORS)
+    elif m % 3:
+        of = construct_one_factorization(t2)
+    else:
+        starter = _c4_free_starter(m)
+        if starter is None:
+            raise SearchExhaustedError(f"a complete search found no 4-cycle-free starter of Z_{m}")
+        factors = []
+        for i in range(m):
+            fac = [(i + 1, t2)]
+            for a, b in starter:
+                fac.append(tuple(sorted(((a + i) % m + 1, (b + i) % m + 1))))
+            factors.append(tuple(sorted(fac)))
+        of = OneFactorization(order=t2, factors=tuple(factors))
     _check_one_factorization(of)
     if c4_pair_count(of) != 0:
-        raise CertificateError("repaired factorization still has a C4 component")
-    _c4free_cache[key] = of
+        raise CertificateError(f"the 1-factorization of K_{t2} has a C4 component")
     return of

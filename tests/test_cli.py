@@ -128,6 +128,14 @@ def test_design_kts_and_factorizations():
     assert len(json.loads(r.stdout)["factors"]) == 9
 
 
+def test_c4free_design_ignores_seed():
+    outs = [run("design", "--type", "1f-c4free", "--order", "16", "--seed", seed)
+            for seed in ("0", "5")]
+    assert all(r.returncode == 0 for r in outs)
+    assert outs[0].stdout == outs[1].stdout
+    assert len(json.loads(outs[0].stdout)["factors"]) == 15
+
+
 def test_export_formats():
     r = run("export", "--format", "dot", "--n", "4", "--k", "2")
     assert r.returncode == 0 and r.stdout.startswith('graph "K(4,2)"')
@@ -155,6 +163,31 @@ def test_verify_wrong_params_exits_2(tmp_path):
     assert r.returncode == 2
     err = json.loads(r.stderr)
     assert err["error"] == "ParameterDomainError" and "bogus" in err["message"]
+
+
+def test_verify_empty_checks_exits_2(tmp_path, capsys):
+    from kneser_colorings import cli
+
+    good = tmp_path / "c.json"
+    assert cli.main(["construct", "--family", "kn2-achromatic", "--n", "7",
+                     "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["classes"][:2] = [doc["classes"][0] + doc["classes"][1]]
+    bad = tmp_path / "merged.json"
+    bad.write_text(json.dumps(doc))
+    for checks in ("", ",", " "):
+        assert cli.main(["verify", "--coloring", str(bad), "--checks", checks]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterDomainError" and "names no check" in err["message"]
+    assert cli.main(["verify", "--coloring", str(bad), "--checks", "proper"]) == 1
+    capsys.readouterr()
+    # condition-c alone still verifies proper and complete, gated by condition (C) only
+    assert cli.main(["verify", "--coloring", str(good), "--checks", "condition-c"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["proper"] and rep["complete"] and rep["condition_c"]["passes"]
+    assert cli.main(["verify", "--coloring", str(bad), "--checks", "condition-c"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["proper"] and not rep["condition_c"]["passes"]
 
 
 def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):

@@ -166,7 +166,7 @@ def test_c4_free_small():
         assert union_cycle_lengths(f1, f2, 6) == [6]
 
 
-@pytest.mark.parametrize("t2", list(range(6, 41, 2)))
+@pytest.mark.parametrize("t2", list(range(6, 47, 2)))
 def test_c4_free_all_even_orders(t2):
     of = c4_free_one_factorization(t2)
     assert len(of.factors) == t2 - 1
@@ -178,6 +178,31 @@ def test_c4_free_all_even_orders(t2):
     assert len(edges) == comb(t2, 2)
     for f1, f2 in combinations(of.factors, 2):
         assert all(ln % 2 == 0 and ln >= 6 for ln in union_cycle_lengths(f1, f2, t2))
+
+
+def test_z9_has_no_c4_free_starter():
+    # the complete search comes back empty, which is why K_10 is a fixed table
+    assert designs._c4_free_starter(9) is None
+
+
+def test_c4_free_starter_search_order_is_pinned(monkeypatch):
+    # smallest unpaired a, unused d from largest to smallest, a + d before a - d
+    monkeypatch.setattr(designs, "C4F_BUDGET", 69)
+    assert designs._c4_free_starter(15) == [(1, 8), (2, 7), (3, 14), (4, 10), (5, 6),
+                                            (9, 12), (11, 13)]
+    monkeypatch.setattr(designs, "C4F_BUDGET", 68)
+    with pytest.raises(SearchExhaustedError):
+        designs._c4_free_starter(15)
+
+
+def test_c4_free_search_budget_is_typed(monkeypatch):
+    monkeypatch.setattr(designs, "C4F_BUDGET", 10)
+    c4_free_one_factorization.cache_clear()
+    with pytest.raises(SearchExhaustedError,
+                       match="K_16: the starter search stopped after 11 nodes, "
+                             "over its budget of 10") as info:
+        c4_free_one_factorization(16)
+    assert info.value.nodes == 11 and info.value.budget == 10
 
 
 def test_c4_free_rejects_k4():

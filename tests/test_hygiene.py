@@ -1,9 +1,10 @@
-"""Every name a package module imports is used, and every constant is read.
+"""Every name a package module imports is used, and every module-level name is read.
 
 An import must be used in its own module; __init__.py is skipped, its
 imports are the package's re-exports.  A module-level name bound by a plain
-assignment must be read (as a name or an attribute) somewhere under src/ or
-tests/; dunder names such as __all__ are read by Python itself.
+assignment, a def or a class must be read (as a name or an attribute)
+somewhere under src/ or tests/; dunder names such as __all__ are read by
+Python itself.
 """
 import ast
 from functools import cache
@@ -58,6 +59,12 @@ def _unread_assignments(tree, read):
     return sorted((line, name) for name, line in assigned.items() if name not in read)
 
 
+def _unread_definitions(tree, read):
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
@@ -78,3 +85,17 @@ def test_detects_an_unread_assignment():
                      "def f():\n    return LIMIT\n")
     reader = ast.parse("import mod\nprint(mod.CAP)\n")
     assert _unread_assignments(tree, _read_names([tree, reader])) == [(1, "Alias")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_function_and_class_is_read(path):
+    assert _unread_definitions(ast.parse(path.read_text()), _read_in_readers()) == []
+
+
+def test_detects_an_unread_definition():
+    tree = ast.parse("def helper():\n    return 1\n\nasync def poll():\n    pass\n\n"
+                     "class Spare:\n    pass\n\nclass Used:\n    pass\n\n"
+                     "def main():\n    return Used()\n")
+    reader = ast.parse("import mod\nmod.main()\n")
+    assert _unread_definitions(tree, _read_names([tree, reader])) == [
+        (1, "helper"), (4, "poll"), (7, "Spare")]
