@@ -153,9 +153,9 @@ def _cmd_verify(plan) -> int:
         if plan.k is not None and plan.k != coloring.graph_id[2]:
             raise ParameterDomainError(f"certificate has k={coloring.graph_id[2]}, not {plan.k}")
     cond_c = "condition-c" in wanted
-    wanted = [c for c in wanted if c != "condition-c"]
+    wanted = [c for c in wanted if c != "condition-c"] or ["proper", "complete"]
     g = _graph_for(coloring)
-    rep = verify_coloring(g, coloring, checks=set(wanted) or {"proper", "complete"})
+    rep = verify_coloring(g, coloring, checks=set(wanted))
     doc = rep.as_dict()
     ok = all(doc[c] for c in wanted)
     if cond_c:

@@ -6,7 +6,9 @@ its transversal blocks, no search needed.  Kirkman systems KTS(n) take one
 of three routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2)
 spread partition, and every other n runs one rotational starter search
 (built for every n = 3 (mod 6) up to 129, so for every n = 9 (mod 18) up to
-387).  The (21,5,1)-design is PG(2,4).
+387).  Each search is an exact cover on columns it numbers itself: its 3m
+pair orbits, then its points (x, level) at 3m + level*m + x.  The
+(21,5,1)-design is PG(2,4).
 1-factorizations use the circle method.  Where it is not 4-cycle-free
 (exactly the orders with 3 | 2t-1) the 4-cycle-free one develops a starter
 of Z_{2t-1} found by one deterministic search, or, for K_10, is a fixed table.
@@ -250,65 +252,54 @@ def _pg32_days():
             spreads.append(tuple(chosen))
             return
         p = min(set(pts) - covered)
-        for ln in lines:
+        for i, ln in enumerate(lines):
             if p in ln and not set(ln) & covered:
-                chosen.append(ln)
+                chosen.append(i)
                 grow(chosen, covered | set(ln))
                 chosen.pop()
 
     grow([], set())
-    cols = [("ln",) + ln for ln in lines]
-    rows = {i: [("ln",) + ln for ln in sp] for i, sp in enumerate(spreads)}
-    sol = exact_cover(cols, rows)
+    sol = exact_cover(len(lines), [sum(1 << i for i in sp) for sp in spreads])
     if sol is None:  # cannot happen; kept as an honest guard
         raise SearchExhaustedError("PG(3,2) spread partition not found")
-    return [sorted(spreads[i]) for i in sorted(sol)]
-
-
-def _pair_orbit(p, q, m):
-    (x1, l1), (x2, l2) = p, q
-    if l1 == l2:
-        d = (x2 - x1) % m
-        return ("p", l1, min(d, m - d))
-    if l1 > l2:
-        (x1, l1), (x2, l2) = (x2, l2), (x1, l1)
-    return ("m", l1, l2, (x2 - x1) % m)
+    return [sorted(lines[i] for i in spreads[s]) for s in sorted(sol)]
 
 
 def _rotational_day_orbit(m, bs, cs, max_nodes):
     """Starter partition D for the rotational KTS(3m) ansatz, or None if none exists.
 
     D must hit each pure difference orbit once and each mixed orbit not
-    consumed by the fixed-day starters once; exact cover does the rest.
+    consumed by the fixed-day starters once; exact cover does the rest.  The
+    3m available orbits are columns 0..3m-1 (pure by level and difference,
+    then mixed by level pair and difference); point p = level*m + x, the
+    point (x, level), is column 3m + p.  col[i][j] is the orbit column of
+    the pair i < j, or None when that orbit is used up, and each row extends
+    an available pair (i, j) by a point k > j.  D comes back as triples of p.
     Raises SearchExhaustedError once the search passes max_nodes nodes.
     """
-    used01, used12, used02 = set(bs), {(c - b) % m for b, c in zip(bs, cs)}, set(cs)
-    avail = set()
-    for lev in range(3):
-        for d in range(1, (m - 1) // 2 + 1):
-            avail.add(("p", lev, d))
-    for d in range(m):
-        if d not in used01:
-            avail.add(("m", 0, 1, d))
-        if d not in used12:
-            avail.add(("m", 1, 2, d))
-        if d not in used02:
-            avail.add(("m", 0, 2, d))
-    points = [(x, lev) for lev in range(3) for x in range(m)]
-    rows = {}
-    tri_of = {}
-    rid = 0
-    for tri in combinations(points, 3):
-        orbs = (_pair_orbit(tri[0], tri[1], m), _pair_orbit(tri[0], tri[2], m),
-                _pair_orbit(tri[1], tri[2], m))
-        if len(set(orbs)) != 3 or not all(o in avail for o in orbs):
-            continue
-        rows[rid] = [("pt", p) for p in tri] + [("orb",) + o for o in orbs]
-        tri_of[rid] = tri
-        rid += 1
-    cols = [("pt", p) for p in points] + [("orb",) + o for o in sorted(avail)]
-    sol = exact_cover(cols, rows, max_nodes=max_nodes)
-    return None if sol is None else [tri_of[r] for r in sol]
+    used = {(0, 1): set(bs), (0, 2): set(cs), (1, 2): {(c - b) % m for b, c in zip(bs, cs)}}
+    orbits = [(lev, lev, d) for lev in range(3) for d in range(1, (m + 1) // 2)]  # pure
+    orbits += [(l1, l2, d) for (l1, l2), taken in used.items() for d in range(m) if d not in taken]
+    orbit = {o: c for c, o in enumerate(orbits)}
+    npts = 3 * m
+    col = [[None] * npts for _ in range(npts)]
+    for i in range(npts):
+        l1, x1 = divmod(i, m)
+        for j in range(i + 1, npts):
+            l2, x2 = divmod(j, m)
+            d = (x2 - x1) % m
+            col[i][j] = orbit.get((l1, l2, min(d, m - d) if l1 == l2 else d))
+    rows, tris = [], []
+    for i in range(npts):
+        for j in range(i + 1, npts):
+            if col[i][j] is not None:
+                for k in range(j + 1, npts):
+                    orbs = {col[i][j], col[i][k], col[j][k]}
+                    if None not in orbs and len(orbs) == 3:
+                        rows.append(sum(1 << c for c in orbs) | (1 << i | 1 << j | 1 << k) << npts)
+                        tris.append((i, j, k))
+    sol = exact_cover(2 * npts, rows, max_nodes=max_nodes)
+    return None if sol is None else [tris[r] for r in sol]
 
 
 # Fixed-day starters (b_j), (c_j) for the orders m where the canonical
@@ -338,9 +329,9 @@ def _rotational_kts_days(n: int, max_nodes: int = 500000):
             f"partition for the fixed-day starters b = {tuple(bs)}, c = {tuple(cs)}")
 
     def tr(tri, i):
-        return tuple(sorted((m * lev + (x + i) % m + 1) for (x, lev) in tri))
+        return tuple(sorted(p - p % m + (p + i) % m + 1 for p in tri))
 
-    days = [sorted(tr(((0, 0), (b, 1), (c, 2)), i) for i in range(m)) for b, c in zip(bs, cs)]
+    days = [sorted(tr((0, m + b, 2 * m + c), i) for i in range(m)) for b, c in zip(bs, cs)]
     days += [sorted(tr(t, i) for t in D) for i in range(m)]
     return days
 

@@ -1,14 +1,13 @@
 """Algorithm X on int bitsets (no dancing links; instances here are small).
 
-Rows and columns are arbitrary hashable ids.  Row i of sorted(rows, key=repr)
-is bit i, and each column of sorted(columns, key=repr) keeps one mask of the
-rows that cover it.  A search node is an `alive` row mask and an `open`
-column mask.  It branches on the first open column, in repr order, with the
-fewest alive rows, and tries them low bit first.  Taking a row clears the
-OR of its columns' masks from `alive` and its columns from `open`; nothing is
-saved or restored on the way back.  A node costs one AND and popcount per
-open column plus a few mask ORs per candidate row, each linear in the row
-count.
+The caller numbers its own columns 0..ncols-1 and rows 0..len(rows)-1: row i
+is the int mask of the columns it covers, and is bit i of each column's mask
+of the rows that cover it.  A search node is an `alive` row mask and an
+`open` column mask.  It branches on the lowest open column with the fewest
+alive rows, and tries them low bit first.  Taking row i clears the OR of its
+columns' masks from `alive` and rows[i] from `open`; nothing is saved or
+restored on the way back.  A node costs one AND and popcount per open column
+plus a few mask ORs per candidate row, each linear in the row count.
 """
 from __future__ import annotations
 
@@ -16,22 +15,15 @@ from .errors import SearchExhaustedError
 from .kneser import bit_indices
 
 
-def exact_cover(columns, rows: dict, max_nodes: int | None = None):
-    """Return a list of row ids covering every column exactly once, or None.
+def exact_cover(ncols: int, rows, max_nodes: int | None = None):
+    """Return the indices of rows that cover each of columns 0..ncols-1 once, or None.
 
-    rows maps row_id -> iterable of column ids.  Column ids not listed in
-    `columns` are ignored; every column in `columns` must be covered.
+    rows[i] is the int mask of the columns row i covers, each below ncols.
     Raises SearchExhaustedError once more than max_nodes nodes are searched.
     """
-    col_ids = sorted(set(columns), key=repr)
-    col_index = {c: j for j, c in enumerate(col_ids)}
-    row_ids = sorted(rows, key=repr)
-    row_cols = []
-    col_bytes = [bytearray((len(row_ids) + 7) // 8) for _ in col_ids]
-    for i, r in enumerate(row_ids):
-        js = tuple({col_index[c] for c in rows[r] if c in col_index})
-        row_cols.append(js)
-        for j in js:
+    col_bytes = [bytearray((len(rows) + 7) // 8) for _ in range(ncols)]
+    for i, cols in enumerate(rows):
+        for j in bit_indices(cols):
             col_bytes[j][i >> 3] |= 1 << (i & 7)
     col_rows = [int.from_bytes(b, "little") for b in col_bytes]
 
@@ -56,16 +48,12 @@ def exact_cover(columns, rows: dict, max_nodes: int | None = None):
                     break
         for i in bit_indices(col_rows[best] & alive):
             taken = 0
-            closed = 0
-            for j in row_cols[i]:
+            for j in bit_indices(rows[i]):
                 taken |= col_rows[j]
-                closed |= 1 << j
-            solution.append(row_ids[i])
-            if search(alive & ~taken, open_ & ~closed):
+            solution.append(i)
+            if search(alive & ~taken, open_ & ~rows[i]):
                 return True
             solution.pop()
         return False
 
-    if search((1 << len(row_ids)) - 1, (1 << len(col_ids)) - 1):
-        return solution
-    return None
+    return solution if search((1 << len(rows)) - 1, (1 << ncols) - 1) else None

@@ -345,10 +345,11 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
 
     Odd n = 1,3 (mod 6): the blocks of STS(n) as triangle classes (any
     general-position set).  Even n (convex position): triangles of K_n - F
-    plus the components of F, where F sits on the hull; n = 4 (mod 6) is
-    capped at n in {10, 16} (exact-cover decomposition scale).  Declared
-    range: every supported n in 7..39 builds and self-verifies (swept in the
-    tests); other n raise ParameterDomainError.
+    plus the components of F, where F sits on the hull; n = 0,2 (mod 6) take
+    the triangles of STS(n+1), n = 4 (mod 6) an exact-cover decomposition.
+    Declared range: every supported n in 7..40 builds and self-verifies
+    (swept in the tests), n = 4 (mod 6) included; other n raise
+    ParameterDomainError.
     """
     n = len(ps)
     if n % 2 == 1:
@@ -366,9 +367,6 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
             classes = _even_matching_route(n, hull)
             expect = comb(n + 1, 2) // 3
         else:
-            if n not in (10, 16):
-                raise ParameterDomainError(
-                    "n = 4 (mod 6) route is implemented for n in {10, 16}")
             classes = _even_forest_route(n, hull)
             expect = (n * n + n - 8) // 6
     coloring = Coloring(("dv", ps.coords, 2), tuple(classes))
@@ -398,21 +396,18 @@ def _even_forest_route(n, hull):
     star = [_pair(h[0], h[1]), _pair(h[0], h[2]), _pair(h[0], h[n - 1])]
     matching = [_pair(h[i], h[i + 1]) for i in range(3, n - 2, 2)]
     forest = set(star) | set(matching)
-    edges = [e for e in combinations(range(1, n + 1), 2) if _pair(*e) not in forest]
-    eset = set(edges)
-    rows = {}
-    tri_of = {}
-    rid = 0
+    edges = [e for e in combinations(range(1, n + 1), 2) if e not in forest]
+    col = {e: j for j, e in enumerate(edges)}  # column of each edge of K_n - F
+    rows, tris = [], []
     for t in combinations(range(1, n + 1), 3):
-        es = [_pair(t[0], t[1]), _pair(t[0], t[2]), _pair(t[1], t[2])]
-        if all(e in eset for e in es):
-            rows[rid] = [("e",) + e for e in es]
-            tri_of[rid] = t
-            rid += 1
-    sol = exact_cover([("e",) + e for e in edges], rows, max_nodes=500000)
+        es = (t[:2], (t[0], t[2]), t[1:])
+        if all(e in col for e in es):
+            rows.append(sum(1 << col[e] for e in es))
+            tris.append(t)
+    sol = exact_cover(len(edges), rows, max_nodes=500000)
     if sol is None:
         raise SearchExhaustedError(f"no triangle decomposition of K_{n} - F found")
-    classes = [_triangle_class(*tri_of[r]) for r in sorted(sol)]
+    classes = [_triangle_class(*tris[r]) for r in sorted(sol)]
     classes.append(tuple(sorted(star)))
     classes.extend((e,) for e in matching)
     return classes

@@ -181,13 +181,30 @@ def test_verify_empty_checks_exits_2(tmp_path, capsys):
         assert err["error"] == "ParameterDomainError" and "names no check" in err["message"]
     assert cli.main(["verify", "--coloring", str(bad), "--checks", "proper"]) == 1
     capsys.readouterr()
-    # condition-c alone still verifies proper and complete, gated by condition (C) only
+    # condition-c alone means proper,complete,condition-c: all three gate the exit code
     assert cli.main(["verify", "--coloring", str(good), "--checks", "condition-c"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["proper"] and rep["complete"] and rep["condition_c"]["passes"]
     assert cli.main(["verify", "--coloring", str(bad), "--checks", "condition-c"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert not rep["proper"] and not rep["condition_c"]["passes"]
+
+
+def test_verify_condition_c_alone_fails_improper(tmp_path, capsys):
+    from kneser_colorings import cli
+
+    good = tmp_path / "c.json"
+    assert cli.main(["construct", "--family", "kn2-achromatic", "--n", "12",
+                     "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    first, second = doc["classes"][:2]
+    assert len(first) == len(second) == 3
+    first[0], second[0] = second[0], first[0]
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--coloring", str(bad), "--checks", "condition-c"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["proper"] and rep["condition_c"]["passes"]
 
 
 def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):

@@ -6,40 +6,43 @@ from kneser_colorings.errors import SearchExhaustedError
 from kneser_colorings.exact_cover import exact_cover
 
 
+def _mask(cols):
+    return sum(1 << c for c in cols)
+
+
 def test_knuth_example():
-    rows = {
-        "A": [1, 4, 7], "B": [1, 4], "C": [4, 5, 7],
-        "D": [3, 5, 6], "E": [2, 3, 6, 7], "F": [2, 7],
-    }
-    sol = exact_cover(range(1, 8), rows)
-    assert sorted(sol) == ["B", "D", "F"]
+    # Knuth's rows A..F over columns 1..7, renumbered 0..6
+    rows = [_mask(cs) for cs in ([0, 3, 6], [0, 3], [3, 4, 6], [2, 4, 5], [1, 2, 5, 6], [1, 6])]
+    assert sorted(exact_cover(7, rows)) == [1, 3, 5]  # B, D, F
 
 
 def test_budget_exhausted_is_typed():
-    rows = {"A": [1, 4, 7], "B": [1, 4], "C": [4, 5, 7], "D": [3, 5, 6], "F": [2, 7]}
+    rows = [_mask(cs) for cs in ([0, 3, 6], [0, 3], [3, 4, 6], [2, 4, 5], [1, 6])]
     with pytest.raises(SearchExhaustedError, match="2 nodes, over its budget of 1") as info:
-        exact_cover(range(1, 8), rows, max_nodes=1)
+        exact_cover(7, rows, max_nodes=1)
     assert (info.value.nodes, info.value.budget) == (2, 1)
 
 
 def test_unsolvable_returns_none():
-    assert exact_cover([1, 2, 3], {"A": [1, 2], "B": [2, 3]}) is None
+    assert exact_cover(3, [0b011, 0b110]) is None
 
 
 def test_deterministic():
-    rows = {i: [i % 4, 4 + i % 3, 7 + i % 2] for i in range(20)}
-    cols = set()
-    for cs in rows.values():
-        cols.update(cs)
-    first = exact_cover(cols, rows)
+    # every transversal of three column triples: many covers, one answer
+    rows = [_mask([i % 3, 3 + i // 3 % 3, 6 + i // 9]) for i in range(27)]
+    first = exact_cover(9, rows)
+    assert first is not None
     for _ in range(3):
-        assert exact_cover(cols, rows) == first
+        assert exact_cover(9, rows) == first
 
 
-def _covers(columns, rows, chosen):
-    want = set(columns)
-    hits = [c for r in chosen for c in set(rows[r]) if c in want]
-    return len(set(chosen)) == len(chosen) and sorted(hits) == sorted(want)
+def _covers(ncols, rows, chosen):
+    union = 0
+    for i in chosen:
+        if union & rows[i]:
+            return False
+        union |= rows[i]
+    return len(set(chosen)) == len(chosen) and union == (1 << ncols) - 1
 
 
 def test_matches_brute_force():
@@ -48,17 +51,16 @@ def test_matches_brute_force():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @hypothesis.given(ncols=st.integers(0, 8),
-                      row_cols=st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=12))
-    def case(ncols, row_cols):
-        columns = range(ncols)  # row entries >= ncols are not columns: ignored
-        rows = dict(enumerate(row_cols))
-        solvable = any(_covers(columns, rows, chosen) for size in range(len(rows) + 1)
-                       for chosen in combinations(rows, size))
-        sol = exact_cover(columns, rows)
+    @hypothesis.given(case=st.integers(0, 8).flatmap(lambda ncols: st.tuples(
+        st.just(ncols), st.lists(st.integers(0, (1 << ncols) - 1), max_size=12))))
+    def check(case):
+        ncols, rows = case
+        solvable = any(_covers(ncols, rows, chosen) for size in range(len(rows) + 1)
+                       for chosen in combinations(range(len(rows)), size))
+        sol = exact_cover(ncols, rows)
         if solvable:
-            assert sol is not None and _covers(columns, rows, sol)
+            assert sol is not None and _covers(ncols, rows, sol)
         else:
             assert sol is None
 
-    case()
+    check()
