@@ -165,14 +165,10 @@ def achromatic_coloring(n: int) -> Coloring:
     """A proper complete coloring of K(n,2) with exactly alpha(K(n,2)) classes."""
     if n < 2:
         raise ParameterDomainError(f"achromatic construction needs n >= 2, got {n}")
-    if n == 2:
-        classes = [((1, 2),)]
-    elif n == 3:
+    if n == 3:
         classes = [((1, 2), (1, 3), (2, 3))]
     elif n == 4:
         classes = list(K42_PATTERN)
-    elif n == 5:
-        classes = list(K52_PATTERN)
     elif n == 7:
         tris, paths, singles, _ = _k72_pattern()
         classes = tris + paths + singles
@@ -184,11 +180,8 @@ def achromatic_coloring(n: int) -> Coloring:
         classes = _case3(n)
     else:
         classes = _case4(n)
-    return _certify(Coloring(("kneser", n, 2), tuple(classes)), n)
-
-
-def _certify(coloring: Coloring, n: int) -> Coloring:
-    certify(build_kneser(n, 2), coloring, {"proper", "complete"}, count=alpha_upper_kn2(n))
+    coloring = certify(Coloring(build_kneser(n, 2), tuple(classes)), {"proper", "complete"},
+                       count=alpha_upper_kn2(n))
     if n != 3:  # K(3,2) is edgeless; its single class has no accounting to satisfy
         cc = check_condition_C(coloring)
         if not cc.passes:
@@ -206,7 +199,7 @@ def grundy_relabel(coloring: Coloring) -> Coloring:
             raise ShapeError(f"class {cls} has size {len(cls)} > 3")
     order = {3: 0, 2: 1, 1: 2}
     classes = tuple(sorted(coloring.classes, key=lambda cls: order[len(cls)]))
-    return Coloring(coloring.graph_id, classes)
+    return Coloring(coloring.graph, classes)
 
 
 def max_degree_kn2(n: int) -> int:

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure (witnesses in the JSON
-output), 2 parameter-domain or usage errors.  Certificates are JSON,
+output), 2 parameter-domain or usage errors.  Certificates are JSON and
+name their own graph (verify's --graph, --n and --k only cross-check it),
 bounds tables CSV, graph exports DOT or JSON.  Every command accepts
 --seed; only geom's random layouts read it, and they are deterministic for a
 fixed seed.
@@ -12,16 +13,16 @@ import argparse
 import inspect
 import json
 import sys
-from math import comb
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
-from .colorings import (Coloring, _int_lists, check_condition_C, coloring_from_json,
-                        verify_coloring)
+from .colorings import _int_lists, check_condition_C, coloring_from_json, verify_coloring
 from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
-from .kneser import build_kneser, kneser_order
-from .pseudoachromatic import MatchingGraph
+from .kneser import KneserGraph, MatchingGraph, build_kneser, kneser_order
+
+# the --graph name of each certificate's graph type
+_GRAPH_KINDS = {KneserGraph: "kneser", geometry.DisjointnessGraph: "dv", MatchingGraph: "matching"}
 
 
 def _add_common(p):
@@ -123,39 +124,24 @@ def _cmd_construct(plan) -> int:
     return 0
 
 
-def _graph_for(coloring: Coloring):
-    """The certificate's graph, refused before it is built if the classes cannot cover it."""
-    kind, base, *k = coloring.graph_id  # base: n, the points, or the matching size
-    order = (kneser_order(base, k[0]) if kind == "kneser"
-             else comb(len(base), k[0]) if kind == "dv" else 2 * base)
-    members = sum(map(len, coloring.classes))
-    if order > members:
-        raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
-    if kind == "kneser":
-        return build_kneser(base, k[0])
-    if kind == "dv":
-        return geometry.build_dv(geometry.PointSet(base), k[0])
-    return MatchingGraph(base)
-
-
 def _cmd_verify(plan) -> int:
     wanted = [c.strip() for c in plan.checks.split(",") if c.strip()]
     if not wanted:
         raise ParameterDomainError(f"--checks {plan.checks!r} names no check")
     with open(plan.coloring) as fh:
         coloring = coloring_from_json(fh.read())
-    kind = coloring.graph_id[0]
+    g = coloring.graph
+    kind = _GRAPH_KINDS[type(g)]
     if plan.graph and plan.graph != kind:
         raise ParameterDomainError(f"certificate is for a {kind} graph, not {plan.graph}")
     if kind == "kneser":
-        if plan.n is not None and plan.n != coloring.graph_id[1]:
-            raise ParameterDomainError(f"certificate has n={coloring.graph_id[1]}, not {plan.n}")
-        if plan.k is not None and plan.k != coloring.graph_id[2]:
-            raise ParameterDomainError(f"certificate has k={coloring.graph_id[2]}, not {plan.k}")
+        if plan.n is not None and plan.n != g.n:
+            raise ParameterDomainError(f"certificate has n={g.n}, not {plan.n}")
+        if plan.k is not None and plan.k != g.k:
+            raise ParameterDomainError(f"certificate has k={g.k}, not {plan.k}")
     cond_c = "condition-c" in wanted
     wanted = [c for c in wanted if c != "condition-c"] or ["proper", "complete"]
-    g = _graph_for(coloring)
-    rep = verify_coloring(g, coloring, checks=set(wanted))
+    rep = verify_coloring(coloring, checks=set(wanted))
     doc = rep.as_dict()
     ok = all(doc[c] for c in wanted)
     if cond_c:

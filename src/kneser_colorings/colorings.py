@@ -1,7 +1,8 @@
 """Colorings as certificates: representation, verification, condition (C).
 
-A coloring is stored as its color classes (class i holds the vertices of
-color i+1).  Verification is exhaustive and reports the first witness of
+A coloring is its host graph and its color classes (class i holds the
+vertices of color i+1); its certificate is the graph's header() plus the
+classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
 on bitsets: each class as a mask of vertex indices and the union of its
 members' neighbourhoods, so checking a coloring of K(n,k) takes
@@ -11,17 +12,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import CertificateError, CoverageError, ParameterDomainError
-from .kneser import bit_indices
+from .kneser import KneserGraph, MatchingGraph, bit_indices, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
 
 
 @dataclass(frozen=True)
 class Coloring:
-    """graph_id identifies the host graph; classes are tuples of vertex labels."""
-    graph_id: tuple
+    """graph is the host graph (a kneser.Graph); classes are tuples of vertex labels."""
+    graph: object
     classes: tuple
 
     @property
@@ -35,19 +37,8 @@ class Coloring:
         return hist
 
     def to_json(self) -> str:
-        kind = self.graph_id[0]
-        if kind == "kneser":
-            doc = {"n": self.graph_id[1], "k": self.graph_id[2],
-                   "classes": [[list(v) for v in cls] for cls in self.classes]}
-        elif kind == "dv":
-            doc = {"points": [list(p) for p in self.graph_id[1]], "k": self.graph_id[2],
-                   "classes": [[list(v) for v in cls] for cls in self.classes]}
-        elif kind == "matching":
-            doc = {"matching_size": self.graph_id[1],
-                   "classes": [list(cls) for cls in self.classes]}
-        else:
-            raise ValueError(f"unknown graph kind {kind}")
-        return json.dumps(doc, sort_keys=True)
+        classes = [list(map(_jsonable, cls)) for cls in self.classes]
+        return json.dumps({**self.graph.header(), "classes": classes}, sort_keys=True)
 
 
 def _int_lists(x, what):
@@ -58,8 +49,18 @@ def _int_lists(x, what):
     return tuple(map(tuple, x))
 
 
+def _covering(classes, order):
+    """classes, unless they have too few members to cover the graph's order vertices."""
+    members = sum(map(len, classes))
+    if order > members:
+        raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
+    return classes
+
+
 def coloring_from_json(text: str) -> Coloring:
-    """Decode a certificate; a malformed one raises ParameterDomainError."""
+    """Decode a certificate and build its graph; a malformed one raises
+    ParameterDomainError, and one whose classes cannot cover the graph
+    CoverageError before the graph (or its PointSet) is built."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc["classes"], list):
         raise ParameterDomainError("a certificate must be a JSON object with a list of classes")
@@ -67,14 +68,19 @@ def coloring_from_json(text: str) -> Coloring:
         if key in doc and (type(doc[key]) is not int or doc[key] < 1):
             raise ParameterDomainError(f"{key} must be an integer >= 1, got {doc[key]!r}")
     if "matching_size" in doc:
-        return Coloring(("matching", doc["matching_size"]), _int_lists(doc["classes"], "classes"))
+        m = doc["matching_size"]
+        classes = _covering(_int_lists(doc["classes"], "classes"), 2 * m)
+        return Coloring(MatchingGraph(m), classes)
     classes = tuple(_int_lists(cls, "each class") for cls in doc["classes"])
     if "points" in doc:
+        from .geometry import PointSet, build_dv  # geometry imports this module
         points = _int_lists(doc["points"], "points")
         if any(len(p) != 2 for p in points):
             raise ParameterDomainError("each point must be a pair of integer coordinates")
-        return Coloring(("dv", points, doc["k"]), classes)
-    return Coloring(("kneser", doc["n"], doc["k"]), classes)
+        classes = _covering(classes, comb(len(points), doc["k"]))
+        return Coloring(build_dv(PointSet(points), doc["k"]), classes)
+    classes = _covering(classes, kneser_order(doc["n"], doc["k"]))
+    return Coloring(build_kneser(doc["n"], doc["k"]), classes)
 
 
 @dataclass
@@ -121,10 +127,10 @@ def _class_masks(g, coloring: Coloring):
     return cls_of, masks
 
 
-def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
-    """Exhaustively verify the requested properties of a coloring on g.
+def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
+    """Exhaustively verify the requested properties of a coloring on its graph.
 
-    g is any graph of the kneser.Graph protocol; its neighbourhoods() are
+    Its graph g is any graph of the kneser.Graph protocol; neighbourhoods() are
     streamed once (on K(n,k) each is computed from the point stars and
     dropped when the next is read, so no adjacency list is held).  Per class
     c, with mask M_c and U_c the union of its members' neighbourhoods:
@@ -140,6 +146,7 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
     unknown = checks - ALL_CHECKS
     if unknown:
         raise ParameterDomainError(f"unknown checks {sorted(unknown)}")
+    g = coloring.graph
     cls_of, masks = _class_masks(g, coloring)
     l = coloring.color_count
     rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())
@@ -199,23 +206,16 @@ def verify_coloring(g, coloring: Coloring, checks=ALL_CHECKS) -> VerificationRep
     return rep
 
 
-def _host_name(graph_id) -> str:
-    kind, base, *k = graph_id  # base: n, the points, or the matching size
-    if kind == "matching":
-        return f"matching of {base} edges"
-    return f"K({base},{k[0]})" if kind == "kneser" else f"D_V({len(base)},{k[0]})"
-
-
-def certify(g, coloring: Coloring, checks, count=None) -> Coloring:
+def certify(coloring: Coloring, checks, count=None) -> Coloring:
     """Return coloring if it has count classes (when count is given) and
-    passes every check on g; otherwise raise CertificateError naming the
-    class count or the failed checks, so that no constructor emits a
+    passes every check on its graph; otherwise raise CertificateError naming
+    the class count or the failed checks, so that no constructor emits a
     coloring it has not verified."""
-    host = _host_name(coloring.graph_id)
+    host = coloring.graph.name
     if count is not None and coloring.color_count != count:
         raise CertificateError(
             f"{host} coloring built {coloring.color_count} classes, wants {count}")
-    rep = verify_coloring(g, coloring, checks)
+    rep = verify_coloring(coloring, checks)
     failed = sorted(c for c in checks if not getattr(rep, c))
     if failed:
         raise CertificateError(
@@ -255,9 +255,9 @@ class ConditionCReport:
 
 
 def check_condition_C(coloring: Coloring) -> ConditionCReport:
-    if coloring.graph_id[0] != "kneser" or coloring.graph_id[2] != 2:
+    g = coloring.graph
+    if not (isinstance(g, KneserGraph) and g.k == 2):
         raise ParameterDomainError("condition (C) applies to colorings of K(n,2)")
-    n = coloring.graph_id[1]
     problems = []
     sizes_ok = True
     p3_ok = True
@@ -282,7 +282,7 @@ def check_condition_C(coloring: Coloring) -> ConditionCReport:
             else:
                 centers.append(shared.pop())
     involved = singleton_pts | set(centers)
-    exceptional = tuple(p for p in range(1, n + 1) if p not in involved)
+    exceptional = tuple(p for p in range(1, g.n + 1) if p not in involved)
     return ConditionCReport(sizes_ok=sizes_ok, p3_ok=p3_ok, matching_ok=matching_ok,
                             singleton_points=tuple(sorted(singleton_pts)),
                             centers=tuple(sorted(centers)),

@@ -4,11 +4,11 @@ Steiner triple systems come from the Bose (n = 3 mod 6) and Skolem
 (n = 1 mod 6) quasigroup constructions; a Bose system's parallel class is
 its transversal blocks, no search needed.  Kirkman systems KTS(n) take one
 of three routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2)
-spread partition, and every other n runs one rotational starter search
-(built for every n = 3 (mod 6) up to 129, so for every n = 9 (mod 18) up to
-387).  Each search is an exact cover on columns it numbers itself: its 3m
-pair orbits, then its points (x, level) at 3m + level*m + x.  The
-(21,5,1)-design is PG(2,4).
+spread partition, and every other n up to 129 runs one rotational starter
+search (so every n = 9 (mod 18) up to 387 is built; the rest is refused).
+Each search is an exact cover on columns it numbers itself: its 3m pair
+orbits, then its points (x, level) at 3m + level*m + x.  The (21,5,1)-design
+is PG(2,4).
 1-factorizations use the circle method.  Where it is not 4-cycle-free
 (exactly the orders with 3 | 2t-1) the 4-cycle-free one develops a starter
 of Z_{2t-1} found by one deterministic search, or, for K_10, is a fixed table.
@@ -183,17 +183,12 @@ def _skolem_sts(n: int) -> Design:
     return Design(n=n, blocks=tuple(sorted(blocks)), k=3, r=(n - 1) // 2, lam=1)
 
 
-_sts_cache: dict = {}
-
-
+@cache
 def construct_sts(n: int) -> Design:
     """A verified STS(n); exists iff n = 1 or 3 (mod 6)."""
     if n < 3 or n % 6 not in (1, 3):
         raise ParameterDomainError(f"STS(n) requires n = 1,3 (mod 6) and n >= 3, got {n}")
-    if n not in _sts_cache:
-        d = _bose_sts(n) if n % 6 == 3 else _skolem_sts(n)
-        _sts_cache[n] = _checked(d)
-    return _sts_cache[n]
+    return _checked(_bose_sts(n) if n % 6 == 3 else _skolem_sts(n))
 
 
 def find_parallel_class(d: Design):
@@ -355,33 +350,31 @@ def _tripled_days(u: int):
     return days
 
 
-_kts_cache: dict = {}
-
-
+@cache
 def construct_kts(n: int) -> Resolution:
     """A verified Kirkman triple system KTS(n); exists iff n = 3 (mod 6).
 
     n = 9 (mod 18) is tripled from KTS(n/3), n = 15 is the PG(3,2) spread
     partition, and every other n (above 3) comes from one rotational starter
     search over Z_{n/3}.  That search succeeds for every n <= 129, so every
-    n = 3 (mod 6) up to 129, and every n = 9 (mod 18) up to 387, is built;
-    beyond that a search that runs out raises SearchExhaustedError.
+    n = 3 (mod 6) up to 129 is built, and so is every n = 9 (mod 18) that
+    triples down to one of them.  Any other n raises ParameterDomainError
+    before a search row is built.
     """
     if n % 6 != 3 or n < 3:
         raise ParameterDomainError(f"KTS(n) requires n = 3 (mod 6), got {n}")
-    if n in _kts_cache:
-        return _kts_cache[n]
     if n == 3:
         days = [[(1, 2, 3)]]
     elif n % 18 == 9:
         days = _tripled_days(n // 3)
     elif n == 15:
         days = _pg32_days()
+    elif n > 129:  # beyond the declared range of the rotational search
+        raise ParameterDomainError(f"KTS({n}) is built for n <= 129, or n = 9 (mod 18) "
+                                   "tripled down to that range")
     else:
         days = _rotational_kts_days(n)
-    res = _resolution_from_days(n, days)
-    _kts_cache[n] = res
-    return res
+    return _resolution_from_days(n, days)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,13 @@ class DisjointnessGraph(SubsetGraph):
         self.ps = ps
         self._adj = None
 
+    @property
+    def name(self) -> str:
+        return f"D_V({self.n},{self.k})"
+
+    def header(self) -> dict:
+        return {"points": [list(p) for p in self.ps.coords], "k": self.k}
+
     def _adjacent(self, u, v) -> bool:
         if set(u) & set(v):
             return False
@@ -369,8 +376,8 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
         else:
             classes = _even_forest_route(n, hull)
             expect = (n * n + n - 8) // 6
-    coloring = Coloring(("dv", ps.coords, 2), tuple(classes))
-    return certify(build_dv(ps, 2), coloring, {"proper", "complete"}, count=expect)
+    return certify(Coloring(build_dv(ps, 2), tuple(classes)), {"proper", "complete"},
+                   count=expect)
 
 
 def _even_matching_route(n, hull):
@@ -436,5 +443,5 @@ def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:
     leftovers = [v for v in g.vertices if v not in used]
     for i, v in enumerate(leftovers):
         classes[i % len(classes)].append(v)
-    coloring = Coloring(("dv", ps.coords, k), tuple(tuple(sorted(cls)) for cls in classes))
-    return certify(g, coloring, {"complete"}, count=comb(n // 2, k))
+    coloring = Coloring(g, tuple(tuple(sorted(cls)) for cls in classes))
+    return certify(coloring, {"complete"}, count=comb(n // 2, k))

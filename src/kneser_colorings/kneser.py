@@ -2,11 +2,12 @@
 
 Vertices are kept in colexicographic order; that order is part of the
 public contract (JSON exports and search traces index into it).
+MatchingGraph, the m-edge matching, is the third host graph of a coloring.
 """
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -40,6 +41,8 @@ class Graph:
     ForeignVertexError) and neighbourhoods(), which yields each vertex's
     neighbour bitset in index order (bit j of entry i is set iff vertices i
     and j are adjacent).  adjacency_bitsets() and edges() derive from it.
+    A graph that hosts a coloring also has a `name` for messages and
+    header(), its fields in a certificate (colorings.coloring_from_json).
     """
 
     @property
@@ -98,6 +101,13 @@ class KneserGraph(SubsetGraph):
     """Immutable K(n,k). Adjacency is subset disjointness."""
 
     @property
+    def name(self) -> str:
+        return f"K({self.n},{self.k})"
+
+    def header(self) -> dict:
+        return {"n": self.n, "k": self.k}
+
+    @property
     def regular_degree(self) -> int:
         return comb(self.n - self.k, self.k)
 
@@ -136,19 +146,39 @@ class KneserGraph(SubsetGraph):
                            "vertices": [list(v) for v in self.vertices]})
 
 
-_graph_cache: dict = {}
-
-
+@cache
 def build_kneser(n: int, k: int) -> KneserGraph:
     """Construct (and memoize) K(n,k).
 
     The degenerate boundary cases K(3,2) and K(2,2) (edgeless graphs) are
     meaningful here, so the only requirement is 1 <= k <= n.
     """
-    key = (n, k)
-    if key not in _graph_cache:
-        _graph_cache[key] = KneserGraph(n, k)
-    return _graph_cache[key]
+    return KneserGraph(n, k)
+
+
+class MatchingGraph(Graph):
+    """Disjoint union of m edges; vertex t's partner is t +- m (1-based)."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.vertices = tuple(range(1, 2 * m + 1))
+
+    @property
+    def name(self) -> str:
+        return f"matching of {self.m} edges"
+
+    def header(self) -> dict:
+        return {"matching_size": self.m}
+
+    def index(self, v):
+        if not 1 <= v <= 2 * self.m:
+            raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
+        return v - 1
+
+    def neighbourhoods(self):
+        m = self.m
+        for i in range(2 * m):
+            yield 1 << (i + m if i < m else i - m)
 
 
 def lovasz_chromatic(n: int, k: int) -> int:

@@ -11,8 +11,8 @@ from .achromatic import _pair
 from .bounds import max_colors_for_pairs, psi_lower_kn2
 from .colorings import Coloring, certify
 from .designs import circle_factor, construct_design_21_5_1
-from .errors import ForeignVertexError, ParameterDomainError
-from .kneser import Graph, build_kneser
+from .errors import ParameterDomainError
+from .kneser import MatchingGraph, build_kneser
 
 
 def _factor_classes(t2: int, drop_infinity: bool = False):
@@ -36,8 +36,8 @@ def psi_lower_coloring(n: int) -> Coloring:
     """A complete coloring of K(n,2) with exactly floor(C(n,2)/2) classes."""
     if n < 7:
         raise ParameterDomainError(f"psi lower construction needs n >= 7, got {n}")
-    coloring = Coloring(("kneser", n, 2), tuple(_psi_lower_classes(n)))
-    return certify(build_kneser(n, 2), coloring, {"complete"}, count=psi_lower_kn2(n))
+    coloring = Coloring(build_kneser(n, 2), tuple(_psi_lower_classes(n)))
+    return certify(coloring, {"complete"}, count=psi_lower_kn2(n))
 
 
 def _psi_lower_classes(n: int):
@@ -94,26 +94,7 @@ def psi_tight_coloring(n: int = 20) -> Coloring:
         classes.append(tuple(sorted((e_edges[2 * i], e_edges[2 * i + 1]))))
     for e in f_edges:
         classes.append((e,))
-    coloring = Coloring(("kneser", 20, 2), tuple(classes))
-    return certify(build_kneser(20, 2), coloring, {"complete"}, count=100)
-
-
-class MatchingGraph(Graph):
-    """Disjoint union of m edges; vertex t's partner is t +- m (1-based)."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.vertices = tuple(range(1, 2 * m + 1))
-
-    def index(self, v):
-        if not 1 <= v <= 2 * self.m:
-            raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
-        return v - 1
-
-    def neighbourhoods(self):
-        m = self.m
-        for i in range(2 * m):
-            yield 1 << (i + m if i < m else i - m)
+    return certify(Coloring(build_kneser(20, 2), tuple(classes)), {"complete"}, count=100)
 
 
 def matching_coloring(m: int) -> Coloring:
@@ -126,14 +107,13 @@ def matching_coloring(m: int) -> Coloring:
         raise ParameterDomainError(f"matching needs m >= 1 edges, got {m}")
     r = max_colors_for_pairs(m)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    color = {}
+    classes = [[] for _ in range(r)]
     for t in range(m):
         i, j = pairs[t % len(pairs)]
-        color[t + 1] = i          # edge t joins vertices t+1 and t+1+m
-        color[t + 1 + m] = j
-    classes = tuple(tuple(v for v in range(1, 2 * m + 1) if color[v] == c)
-                    for c in range(1, r + 1))
-    return certify(MatchingGraph(m), Coloring(("matching", m), classes), {"proper", "complete"})
+        classes[i - 1].append(t + 1)  # edge t joins vertices t+1 and t+1+m
+        classes[j - 1].append(t + 1 + m)
+    coloring = Coloring(MatchingGraph(m), tuple(tuple(sorted(cls)) for cls in classes))
+    return certify(coloring, {"proper", "complete"})
 
 
 def kneser_matching_coloring(k: int) -> Coloring:
@@ -154,5 +134,5 @@ def kneser_matching_coloring(k: int) -> Coloring:
         comp = tuple(sorted(full - set(rep_v)))
         classes[color[t + 1]].append(rep_v)
         classes[color[t + 1 + m]].append(comp)
-    coloring = Coloring(("kneser", 2 * k, k), tuple(tuple(sorted(cls)) for cls in classes))
-    return certify(g, coloring, {"proper", "complete"})
+    coloring = Coloring(g, tuple(tuple(sorted(cls)) for cls in classes))
+    return certify(coloring, {"proper", "complete"})

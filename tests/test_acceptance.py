@@ -15,7 +15,7 @@ import pytest
 from kneser_colorings.achromatic import achromatic_coloring, grundy_relabel, max_degree_kn2
 from kneser_colorings.bounds import (b_chromatic_lower, floor_half_plus_sqrt,
                                      improved_psi_bound, max_colors_for_pairs)
-from kneser_colorings.colorings import verify_coloring
+from kneser_colorings.colorings import Coloring, verify_coloring
 from kneser_colorings.designs import (c4_free_one_factorization, c4_pair_count,
                                       construct_design_21_5_1, construct_kts,
                                       construct_sts, verify_design)
@@ -42,7 +42,8 @@ def test_criterion_01_achromatic_reproduction():
     for n in range(2, 41):
         c = achromatic_coloring(n)
         want = 1 if n == 3 else comb(n + 1, 2) // 3
-        rep = verify_coloring(build_kneser(n, 2), c, checks={"proper", "complete"})
+        rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes),
+                              checks={"proper", "complete"})
         if c.color_count != want or not (rep.proper and rep.complete):
             failures.append((n, c.color_count, want, rep.witnesses))
     _line(1, "alpha(K(n,2)) colorings, n = 2..40", failures, t0)
@@ -66,7 +67,7 @@ def test_criterion_03_psi_lower_bound():
     for n in range(7, 41):
         c = psi_lower_coloring(n)
         want = comb(n, 2) // 2
-        rep = verify_coloring(build_kneser(n, 2), c, checks={"complete"})
+        rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"complete"})
         if c.color_count != want or not rep.complete:
             failures.append((n, c.color_count, want))
     _line(3, "complete colorings with floor(C(n,2)/2) classes, n = 7..40", failures, t0)
@@ -76,7 +77,7 @@ def test_criterion_04_psi_tightness_at_20():
     t0 = time.time()
     failures = []
     c = psi_tight_coloring(20)
-    rep = verify_coloring(build_kneser(20, 2), c, checks={"complete"})
+    rep = verify_coloring(Coloring(build_kneser(20, 2), c.classes), checks={"complete"})
     if c.color_count != 100 or not rep.complete:
         failures.append((c.color_count, rep.witnesses))
     _line(4, "psi(K(20,2)) = 100 certified", failures, t0)
@@ -87,13 +88,13 @@ def test_criterion_05_grundy_relabel():
     failures = []
     for n in (4, 5):
         c = grundy_relabel(achromatic_coloring(n))
-        rep = verify_coloring(build_kneser(n, 2), c, checks={"grundy"})
+        rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
         delta_plus_1 = max_degree_kn2(n) + 1
         if rep.grundy or "grundy" not in rep.witnesses or c.color_count <= delta_plus_1:
             failures.append((n, "expected reported failure with Delta+1 witness"))
     for n in range(6, 41):
         c = grundy_relabel(achromatic_coloring(n))
-        rep = verify_coloring(build_kneser(n, 2), c, checks={"grundy"})
+        rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
         if not rep.grundy:
             failures.append((n, rep.witnesses.get("grundy")))
     _line(5, "grundy relabeling passes for 6 <= n <= 40 "
@@ -188,7 +189,7 @@ def test_criterion_09_geometry():
             failures.append(("dv-even4", n))
     for n, k in ((8, 2), (12, 3)):
         c = dvnk_lower_coloring(convex_position_points(n), k)
-        rep = verify_coloring(build_dv(convex_position_points(n), k), c,
+        rep = verify_coloring(Coloring(build_dv(convex_position_points(n), k), c.classes),
                               checks={"complete"})
         if c.color_count != comb(n // 2, k) or not rep.complete:
             failures.append(("dvnk", n, k))
@@ -201,7 +202,7 @@ def test_criterion_10_matching_colorings():
     for k, want in ((2, 3), (3, 5)):
         g = build_kneser(2 * k, k)
         c = kneser_matching_coloring(k)
-        rep = verify_coloring(g, c, checks={"proper", "complete"})
+        rep = verify_coloring(Coloring(g, c.classes), checks={"proper", "complete"})
         formula = max_colors_for_pairs(comb(2 * k, k) // 2)
         if not (rep.proper and rep.complete) or c.color_count != want or formula != want:
             failures.append((k, c.color_count, formula))

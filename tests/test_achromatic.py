@@ -105,13 +105,14 @@ def test_grundy_relabel_orders_by_size():
     c = grundy_relabel(achromatic_coloring(6))
     sizes = [len(cls) for cls in c.classes]
     assert sizes == [3, 3, 3, 3, 1, 1, 1]
-    rep = verify_coloring(build_kneser(6, 2), c, checks={"grundy"})
+    rep = verify_coloring(Coloring(build_kneser(6, 2), c.classes), checks={"grundy"})
     assert rep.grundy
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 12, 13, 14, 18, 19, 20])
 def test_grundy_holds_on_residues_0_1_2(n):
-    rep = verify_coloring(build_kneser(n, 2), grundy_relabel(achromatic_coloring(n)),
+    c = grundy_relabel(achromatic_coloring(n))
+    rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes),
                           checks={"proper", "complete", "grundy"})
     assert rep.proper and rep.complete and rep.grundy
 
@@ -121,7 +122,7 @@ def test_grundy_fails_at_4_and_5_beyond_max_degree(n):
     """The relabeled optimum cannot be Grundy here: l exceeds Delta + 1."""
     c = grundy_relabel(achromatic_coloring(n))
     assert c.color_count > max_degree_kn2(n) + 1
-    rep = verify_coloring(build_kneser(n, 2), c, checks={"grundy"})
+    rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
     assert not rep.grundy
     assert "grundy" in rep.witnesses
 
@@ -131,13 +132,14 @@ def test_grundy_fails_on_residues_3_4_5(n):
     """Size-ordering cannot make these constructions Grundy:
     a path class through both hub points (or the K(4,2) gadget) leaves some
     vertex with no neighbor in a smaller class, whichever order is chosen."""
-    rep = verify_coloring(build_kneser(n, 2), grundy_relabel(achromatic_coloring(n)),
-                          checks={"grundy"})
+    c = grundy_relabel(achromatic_coloring(n))
+    rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
     assert not rep.grundy
 
 
 def test_grundy_relabel_shape_error():
-    big = Coloring(("kneser", 4, 2), (tuple(build_kneser(4, 2).vertices),))
+    g = build_kneser(4, 2)
+    big = Coloring(g, (tuple(g.vertices),))
     with pytest.raises(ShapeError):
         grundy_relabel(big)
 

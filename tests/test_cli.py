@@ -52,6 +52,11 @@ def test_domain_error_exits_2():
     assert r.returncode == 2
     err = json.loads(r.stderr)
     assert "1,3 (mod 6)" in err["message"]
+    # KTS beyond the rotational search's declared range is refused, not searched
+    r = run("design", "--type", "kts", "--n", "2001")
+    assert r.returncode == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "ParameterDomainError" and "KTS(2001)" in err["message"]
 
 
 def test_usage_error_exits_2():
@@ -288,12 +293,14 @@ def test_design_check_malformed_exits_2(tmp_path, capsys, doc):
 
 
 def test_verify_refuses_uncoverable_graph_before_building(tmp_path, monkeypatch, capsys):
-    from kneser_colorings import cli
+    from kneser_colorings import cli, colorings, geometry
 
-    def refuse(n, k):
-        raise AssertionError(f"K({n},{k}) built before its order was checked")
+    def refuse(*args):
+        raise AssertionError(f"graph built from {args} before its order was checked")
 
-    monkeypatch.setattr(cli, "build_kneser", refuse)
+    monkeypatch.setattr(colorings, "build_kneser", refuse)
+    monkeypatch.setattr(colorings, "MatchingGraph", refuse)
+    monkeypatch.setattr(geometry, "PointSet", refuse)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 200, "k": 100, "classes": [[list(range(1, 101))]]}))
     assert cli.main(["verify", "--coloring", str(path)]) == 2
@@ -302,6 +309,12 @@ def test_verify_refuses_uncoverable_graph_before_building(tmp_path, monkeypatch,
     path.write_text(json.dumps({"matching_size": 10 ** 12, "classes": [[1], [2]]}))
     assert cli.main(["verify", "--coloring", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "CoverageError"
+    # collinear points, which PointSet would refuse, and 2 members for C(4,2) = 6 vertices
+    path.write_text(json.dumps({"points": [[0, 0], [1, 1], [2, 2], [3, 3]], "k": 2,
+                                "classes": [[[1, 2]], [[3, 4]]]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CoverageError" and "6 vertices" in err["message"]
 
 
 def _partitions(st, sizes, vertices, document):

@@ -9,9 +9,10 @@ from kneser_colorings import pseudoachromatic
 from kneser_colorings.colorings import (Coloring, certify, check_condition_C,
                                         coloring_from_json, verify_coloring)
 from kneser_colorings.errors import CertificateError, CoverageError
-from kneser_colorings.geometry import build_dv, random_general_position
-from kneser_colorings.kneser import KneserGraph, build_kneser
-from kneser_colorings.pseudoachromatic import MatchingGraph, _five_block_classes
+from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achromatic_coloring,
+                                       dvnk_lower_coloring, random_general_position)
+from kneser_colorings.kneser import KneserGraph, MatchingGraph, build_kneser
+from kneser_colorings.pseudoachromatic import _five_block_classes
 
 from conftest import (brute_complete, brute_dominating, brute_first_proper, brute_grundy,
                       brute_proper)
@@ -23,15 +24,15 @@ def _kneser_adjacent(u, v):
 
 def test_petersen_optimal_pattern():
     g = build_kneser(5, 2)
-    c = Coloring(("kneser", 5, 2), K52_PATTERN)
-    rep = verify_coloring(g, c)
+    c = Coloring(g, K52_PATTERN)
+    rep = verify_coloring(c)
     assert rep.proper and rep.complete and rep.color_count == 5
 
 
 def test_single_class_on_k42():
     g = build_kneser(4, 2)
-    c = Coloring(("kneser", 4, 2), (tuple(g.vertices),))
-    rep = verify_coloring(g, c, checks={"proper", "complete"})
+    c = Coloring(g, (tuple(g.vertices),))
+    rep = verify_coloring(c, checks={"proper", "complete"})
     assert not rep.proper
     assert rep.complete  # l = 1: trivially complete
     u, v = rep.witnesses["proper"]
@@ -41,8 +42,7 @@ def test_single_class_on_k42():
 def test_fig7_style_pattern_complete_not_proper():
     g = build_kneser(5, 2)
     classes = tuple(_five_block_classes((1, 2, 3, 4, 5)))
-    rep = verify_coloring(g, Coloring(("kneser", 5, 2), classes),
-                          checks={"proper", "complete"})
+    rep = verify_coloring(Coloring(g, classes), checks={"proper", "complete"})
     assert rep.complete and not rep.proper and rep.color_count == 5
 
 
@@ -50,7 +50,7 @@ def test_fig7_style_pattern_complete_not_proper():
 def test_completeness_agrees_with_naive_scan(n):
     g = build_kneser(n, 2)
     c = achromatic_coloring(n)
-    rep = verify_coloring(g, c, checks={"complete", "proper"})
+    rep = verify_coloring(Coloring(g, c.classes), checks={"complete", "proper"})
     ok, _ = brute_complete(c.classes, _kneser_adjacent)
     ok_p, _ = brute_proper(c.classes, _kneser_adjacent)
     assert rep.complete == ok and rep.proper == ok_p
@@ -68,8 +68,8 @@ def test_perturbation_detected(seed):
     dst = rng.choice([i for i in range(len(classes)) if i != src])
     v = classes[src].pop(rng.randrange(len(classes[src])))
     classes[dst].append(v)
-    mutated = Coloring(("kneser", n, 2), tuple(tuple(cls) for cls in classes))
-    rep = verify_coloring(g, mutated, checks={"proper", "complete"})
+    mutated = Coloring(g, tuple(tuple(cls) for cls in classes))
+    rep = verify_coloring(mutated, checks={"proper", "complete"})
     ok_c, _ = brute_complete(mutated.classes, _kneser_adjacent)
     ok_p, _ = brute_proper(mutated.classes, _kneser_adjacent)
     assert rep.complete == ok_c and rep.proper == ok_p
@@ -79,11 +79,11 @@ def test_grundy_flag_and_witness():
     g = build_kneser(6, 2)
     from kneser_colorings.achromatic import grundy_relabel
     c = grundy_relabel(achromatic_coloring(6))
-    rep = verify_coloring(g, c, checks={"grundy"})
+    rep = verify_coloring(Coloring(g, c.classes), checks={"grundy"})
     assert rep.grundy
     # reversing the color order breaks grundy but never proper/complete
-    rev = Coloring(c.graph_id, tuple(reversed(c.classes)))
-    rep2 = verify_coloring(g, rev)
+    rev = Coloring(g, tuple(reversed(c.classes)))
+    rep2 = verify_coloring(rev)
     assert rep2.proper and rep2.complete and not rep2.grundy
     vert, missing = rep2.witnesses["grundy"]
     assert missing >= 1
@@ -96,26 +96,24 @@ def test_class_permutations_keep_proper_complete(seed):
     g = build_kneser(n, 2)
     classes = list(achromatic_coloring(n).classes)
     rng.shuffle(classes)
-    rep = verify_coloring(g, Coloring(("kneser", n, 2), tuple(classes)))
+    rep = verify_coloring(Coloring(g, tuple(classes)))
     assert rep.proper and rep.complete
 
 
 def test_dominating_check():
     g = build_kneser(5, 2)
-    rep = verify_coloring(g, Coloring(("kneser", 5, 2), K52_PATTERN),
-                          checks={"dominating"})
+    rep = verify_coloring(Coloring(g, K52_PATTERN), checks={"dominating"})
     assert rep.dominating is not None
 
 
 def test_coverage_errors():
     g = build_kneser(4, 2)
     with pytest.raises(CoverageError):
-        verify_coloring(g, Coloring(("kneser", 4, 2), (((1, 2),),)))
+        verify_coloring(Coloring(g, (((1, 2),),)))
     with pytest.raises(CoverageError):
-        verify_coloring(g, Coloring(("kneser", 4, 2),
-                                    (tuple(g.vertices), ((1, 2),))))
+        verify_coloring(Coloring(g, (tuple(g.vertices), ((1, 2),))))
     with pytest.raises(CoverageError):
-        verify_coloring(g, Coloring(("kneser", 4, 2), (tuple(g.vertices), ())))
+        verify_coloring(Coloring(g, (tuple(g.vertices), ())))
 
 
 def test_condition_c_on_constructions():
@@ -128,15 +126,15 @@ def test_condition_c_on_constructions():
 def test_condition_c_flags_shared_singleton_vertex():
     classes = (((1, 2),), ((1, 3),), ((2, 3), (2, 4), (3, 4)))
     # not even proper on K(4,2), but the report must flag the shared vertex
-    cc = check_condition_C(Coloring(("kneser", 4, 2), classes))
+    cc = check_condition_C(Coloring(build_kneser(4, 2), classes))
     assert any("shared by two singleton" in p for p in cc.problems)
     assert not cc.matching_ok and not cc.passes
 
 
 def test_condition_c_flags_non_p3():
-    cc = check_condition_C(Coloring(("kneser", 4, 2), (((1, 2), (3, 4)),
-                                                       ((1, 3), (1, 4)),
-                                                       ((2, 3), (2, 4)))))
+    cc = check_condition_C(Coloring(build_kneser(4, 2), (((1, 2), (3, 4)),
+                                                          ((1, 3), (1, 4)),
+                                                          ((2, 3), (2, 4)))))
     assert not cc.p3_ok and not cc.passes
 
 
@@ -146,6 +144,26 @@ def test_json_round_trip():
     assert again == c
     doc = json.loads(c.to_json())
     assert doc["n"] == 9 and doc["k"] == 2
+
+
+_ROUND_TRIPS = {
+    "K(9,2)": lambda: achromatic_coloring(9),
+    "D_V(8,2) convex": lambda: dv_achromatic_coloring(convex_position_points(8)),
+    "D_V(8,3) random": lambda: dvnk_lower_coloring(random_general_position(8, seed=1), 3),
+    "matching(10)": lambda: pseudoachromatic.matching_coloring(10),
+}
+
+
+@pytest.mark.parametrize("make", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS.keys())
+def test_json_round_trip_per_graph_kind(make):
+    c = make()
+    again = coloring_from_json(c.to_json())
+    assert type(again.graph) is type(c.graph) and again.graph.name == c.graph.name
+    assert again.graph.header() == c.graph.header()
+    assert again.to_json() == c.to_json() and again.classes == c.classes
+    assert set(json.loads(c.to_json())) == set(c.graph.header()) | {"classes"}
+    rep = verify_coloring(again, checks={"complete"})
+    assert rep.complete and rep.color_count == c.color_count
 
 
 def test_histogram():
@@ -205,7 +223,7 @@ def test_verdicts_and_witnesses_match_brute_force(make):
     verts = list(g.vertices)
     for mode in ("partition", "shuffled", "split") * 3:
         classes = _random_classes(verts, adjacent, rng, mode)
-        rep = verify_coloring(g, Coloring(("test",), classes))
+        rep = verify_coloring(Coloring(g, classes))
         proper, proper_w = brute_first_proper(verts, classes, adjacent)
         complete, complete_w = brute_complete(classes, adjacent)
         grundy, grundy_w = brute_grundy(verts, classes, adjacent)
@@ -224,37 +242,37 @@ def test_kneser_verification_never_scans_edges(monkeypatch):
         raise AssertionError("verify_coloring enumerated the edges of a Kneser graph")
 
     monkeypatch.setattr(KneserGraph, "edges", no_scan)
-    rep = verify_coloring(build_kneser(9, 2), achromatic_coloring(9))
+    rep = verify_coloring(Coloring(build_kneser(9, 2), achromatic_coloring(9).classes))
     assert rep.proper and rep.complete
     g = build_kneser(7, 3)
-    rep = verify_coloring(g, Coloring(("kneser", 7, 3), (g.vertices[:20], g.vertices[20:])))
+    rep = verify_coloring(Coloring(g, (g.vertices[:20], g.vertices[20:])))
     assert not rep.proper and rep.complete
 
 
 def test_certify_returns_a_passing_coloring():
-    c = Coloring(("kneser", 5, 2), K52_PATTERN)
-    assert certify(build_kneser(5, 2), c, {"proper", "complete"}, count=5) is c
+    c = Coloring(build_kneser(5, 2), K52_PATTERN)
+    assert certify(c, {"proper", "complete"}, count=5) is c
 
 
 def test_certify_refuses_a_wrong_class_count():
-    c = Coloring(("kneser", 5, 2), K52_PATTERN)
+    c = Coloring(build_kneser(5, 2), K52_PATTERN)
     with pytest.raises(CertificateError, match=r"K\(5,2\) coloring built 5 classes, wants 6"):
-        certify(build_kneser(5, 2), c, {"proper", "complete"}, count=6)
+        certify(c, {"proper", "complete"}, count=6)
 
 
 def test_certify_names_an_improper_class():
     g = build_kneser(5, 2)
-    c = Coloring(("kneser", 5, 2), (g.vertices,))
+    c = Coloring(g, (g.vertices,))
     with pytest.raises(CertificateError, match="failed proper: ") as err:
-        certify(g, c, {"proper", "complete"})
+        certify(c, {"proper", "complete"})
     assert "complete" not in str(err.value)
 
 
 def test_certify_names_an_incomplete_pair():
     g = build_kneser(5, 2)
-    c = Coloring(("kneser", 5, 2), tuple((v,) for v in g.vertices))
+    c = Coloring(g, tuple((v,) for v in g.vertices))
     with pytest.raises(CertificateError, match="failed complete: ") as err:
-        certify(g, c, {"proper", "complete"})
+        certify(c, {"proper", "complete"})
     assert "proper" not in str(err.value)
 
 

@@ -101,7 +101,7 @@ def test_kts_tripling_does_not_search(monkeypatch):
         raise AssertionError("rotational search run for a tripled KTS")
 
     monkeypatch.setattr(designs, "_rotational_day_orbit", refuse)
-    monkeypatch.setattr(designs, "_kts_cache", {})
+    construct_kts.cache_clear()
     for n in (9, 27, 45, 81, 135):
         assert len(construct_kts(n).classes) == (n - 1) // 2
 
@@ -124,6 +124,16 @@ def test_kts51_starter_search_order_is_pinned():
     assert designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=83)
     with pytest.raises(SearchExhaustedError, match="83 nodes, over its budget of 82"):
         designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=82)
+
+
+def test_kts_beyond_declared_range_refused_before_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rotational search run beyond its declared range")
+
+    monkeypatch.setattr(designs, "_rotational_day_orbit", refuse)
+    for n in (141, 2001, 423):  # 423 = 9 (mod 18) triples down to 141
+        with pytest.raises(ParameterDomainError, match=r"KTS\(141\)|KTS\(2001\)"):
+            construct_kts(n)
 
 
 def test_kts_rejects_wrong_residue():

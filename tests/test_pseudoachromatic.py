@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from kneser_colorings import designs, pseudoachromatic
-from kneser_colorings.colorings import verify_coloring
+from kneser_colorings.colorings import Coloring, verify_coloring
 from kneser_colorings.errors import ParameterDomainError
 from kneser_colorings.kneser import build_kneser
 from kneser_colorings.pseudoachromatic import (MatchingGraph, kneser_matching_coloring,
@@ -56,7 +56,7 @@ def test_tight_coloring_at_20():
     c = psi_tight_coloring(20)
     assert c.color_count == 100 == (comb(20, 2) + 10) // 2
     assert c.class_histogram() == {1: 10, 2: 90}
-    rep = verify_coloring(build_kneser(20, 2), c, checks={"complete"})
+    rep = verify_coloring(Coloring(build_kneser(20, 2), c.classes), checks={"complete"})
     assert rep.complete
 
 
@@ -67,7 +67,7 @@ def test_tight_coloring_rejects_other_n():
 
 def test_tight_coloring_not_proper():
     # the five-block pattern's classes each hold two disjoint pairs
-    rep = verify_coloring(build_kneser(20, 2), psi_tight_coloring(20),
+    rep = verify_coloring(Coloring(build_kneser(20, 2), psi_tight_coloring(20).classes),
                           checks={"proper"})
     assert not rep.proper
 
@@ -76,7 +76,7 @@ def test_tight_coloring_not_proper():
 def test_matching_color_counts(m, colors):
     c = matching_coloring(m)
     assert c.color_count == colors
-    rep = verify_coloring(MatchingGraph(m), c, checks={"proper", "complete"})
+    rep = verify_coloring(Coloring(MatchingGraph(m), c.classes), checks={"proper", "complete"})
     assert rep.proper and rep.complete
 
 
@@ -90,5 +90,5 @@ def test_kneser_matching_colorings(k, colors):
     c = kneser_matching_coloring(k)
     g = build_kneser(2 * k, k)
     assert c.color_count == colors
-    rep = verify_coloring(g, c, checks={"proper", "complete"})
+    rep = verify_coloring(Coloring(g, c.classes), checks={"proper", "complete"})
     assert rep.proper and rep.complete
