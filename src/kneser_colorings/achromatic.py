@@ -162,9 +162,11 @@ def _case4(n: int):
 
 
 def achromatic_coloring(n: int) -> Coloring:
-    """A proper complete coloring of K(n,2) with exactly alpha(K(n,2)) classes."""
+    """A proper complete coloring of K(n,2) with alpha(K(n,2)) classes; 2 <= n <= 121."""
     if n < 2:
         raise ParameterDomainError(f"achromatic construction needs n >= 2, got {n}")
+    if n > 121:
+        raise ParameterDomainError(f"achromatic construction is declared for n <= 121, got {n}")
     if n == 3:
         classes = [((1, 2), (1, 3), (2, 3))]
     elif n == 4:

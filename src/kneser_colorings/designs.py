@@ -185,9 +185,11 @@ def _skolem_sts(n: int) -> Design:
 
 @cache
 def construct_sts(n: int) -> Design:
-    """A verified STS(n); exists iff n = 1 or 3 (mod 6)."""
+    """A verified STS(n), built for n <= 999; exists iff n = 1 or 3 (mod 6)."""
     if n < 3 or n % 6 not in (1, 3):
         raise ParameterDomainError(f"STS(n) requires n = 1,3 (mod 6) and n >= 3, got {n}")
+    if n > 999:
+        raise ParameterDomainError(f"STS({n}) is built for n <= 999")
     return _checked(_bose_sts(n) if n % 6 == 3 else _skolem_sts(n))
 
 

@@ -427,13 +427,17 @@ def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:
     k-subset of V1 with the i-th of V2 (cross-side hulls are always
     disjoint); straddling subsets are spread round-robin over the classes.
     Declared range: even n in 4..22 with k = 2..min(4, n/2), random and
-    convex layouts (swept in the tests); odd n raises ParameterDomainError.
+    convex layouts (swept in the tests); odd n, and n or k beyond that range,
+    raise ParameterDomainError before D_V(n,k) is built.
     """
     n = len(ps)
     if n % 2 == 1:
         raise ParameterDomainError(f"halving construction needs even n, got {n}")
     if k < 2 or 2 * k > n:
         raise ParameterDomainError(f"need 2 <= k <= n/2, got k={k}")
+    if n > 22 or k > 4:
+        raise ParameterDomainError(f"halving construction is declared for n <= 22 and k <= 4, "
+                                   f"got n={n}, k={k}")
     g = build_dv(ps, k)
     v1 = set(sorted(range(1, n + 1), key=ps.coord)[:n // 2])
     side1 = [v for v in g.vertices if v1.issuperset(v)]  # colex order, like g.vertices

@@ -1,18 +1,19 @@
 """Exact exponential-time ground truth for chi, Gamma, alpha, psi on small graphs.
 
 alpha and psi share one branch-and-bound over class assignments (properness
-is a toggle); Gamma has its own over color assignments.  Both walk target
-counts downward, so every reported value is both attained and refuted at
-value+1, and both place vertices in one max-cardinality order
-(`_search_order`): each next vertex has the most neighbours already
-placed, so the constraints between placed vertices bite near the root.
-Admissible prunes only: for alpha and psi, pair-count versus
-remaining-edge budget, open-class feasibility, and the singleton-degree
-argument (a singleton class must see every other class); for Gamma, the
-forward check (every colored vertex must still be able to see each color
-below its own: the colors it misses number at most its uncolored
-neighbours), applied to the vertex just colored and to its colored
-neighbours.  chi is DSatur-ordered iterative deepening.
+is a toggle).  It walks target counts downward, so every reported value is
+both attained and refuted at value+1, and places vertices in one
+max-cardinality order (`_search_order`): each next vertex has the most
+neighbours already placed, so the constraints between placed vertices bite
+near the root.  Admissible prunes only: pair-count versus remaining-edge
+budget, open-class feasibility, and the singleton-degree argument (a
+singleton class must see every other class).  Gamma is the recursion
+Gamma(G[S]) = 1 + max Gamma(G[S - I]) over the maximal independent sets I of
+G[S], Gamma(empty) = 0: class 1 of a Grundy coloring is a maximal independent
+set and the classes above it are a Grundy coloring of the rest, and
+conversely.  It is memoised on the vertex mask S (its node count is the number
+of masks solved) and stops at min(|S|, Delta(G[S]) + 1).  chi is
+DSatur-ordered iterative deepening.
 """
 from __future__ import annotations
 
@@ -194,60 +195,39 @@ def exact_grundy(g, cap: int = 16) -> OracleResult:
     check_cap(g.vertex_count, cap, "exact_grundy")
     t0 = time.perf_counter()
     adj = g.adjacency_bitsets()
-    V = len(adj)
-    if V == 0:
-        return OracleResult("grundy", 0, 0, time.perf_counter() - t0)
-    nbrs = [list(bit_indices(a)) for a in adj]
-    deg = [len(nb) for nb in nbrs]
-    hi = min(max(deg) + 1, V)
-    order = _search_order(adj)
-    nodes = 0
+    memo = {0: 0}
 
-    def feasible(l):
-        nonlocal nodes
-        color = [0] * V
-        free = deg[:]  # uncolored neighbours of each vertex
-        count = [[0] * (l + 1) for _ in range(V)]  # count[u][c]: neighbours of u colored c
-        have = [0] * V  # bit c of have[u]: some neighbour of u is colored c
+    def gamma(S):
+        value = memo.get(S)
+        if value is None:
+            bound = min(S.bit_count(), 1 + max((adj[v] & S).bit_count() for v in bit_indices(S)))
+            value = memo[S] = best_over_sets(S, 0, S, 0, 0, bound)
+        return value
 
-        def stuck(u):
-            # u can no longer see every color below its own
-            return (((1 << color[u]) - 2) & ~have[u]).bit_count() > free[u]
+    def best_over_sets(S, R, P, X, best, bound):
+        # raise best to 1 + gamma(S - I) over the maximal independent sets I
+        # of G[S] that contain R, draw the rest from P and avoid X (pivoted
+        # Bron-Kerbosch on the complement of G[S]); stop once best == bound.
+        # Bits are walked lowest first inline: these masks are small.
+        if not P:
+            return best if X else max(best, 1 + gamma(S & ~R))
+        branches, Q = P, P | X
+        while Q:  # the pivot that leaves the fewest branches
+            w = Q & -Q
+            Q ^= w
+            w_branches = P & (adj[w.bit_length() - 1] | w)
+            if w_branches.bit_count() < branches.bit_count():
+                branches = w_branches
+        while branches:
+            v = branches & -branches
+            branches ^= v
+            rest = S & ~adj[v.bit_length() - 1] & ~v
+            best = best_over_sets(S, R | v, P & rest, X & rest, best, bound)
+            if best == bound:
+                break
+            P &= ~v
+            X |= v
+        return best
 
-        def rec(pos, used_max):
-            nonlocal nodes
-            nodes += 1
-            if pos == V:
-                # every vertex passed the forward check with no neighbour left
-                # uncolored, so the coloring is Grundy
-                return used_max == l
-            v = order[pos]
-            for c in range(1, min(deg[v] + 1, l) + 1):
-                if (have[v] >> c) & 1:
-                    continue
-                color[v] = c
-                if stuck(v):  # and so for every higher color
-                    color[v] = 0
-                    break
-                bit = 1 << c
-                for u in nbrs[v]:
-                    free[u] -= 1
-                    count[u][c] += 1
-                    have[u] |= bit
-                if (not any(color[u] and stuck(u) for u in nbrs[v])
-                        and rec(pos + 1, max(used_max, c))):
-                    return True
-                for u in nbrs[v]:
-                    free[u] += 1
-                    count[u][c] -= 1
-                    if not count[u][c]:
-                        have[u] &= ~bit
-                color[v] = 0
-            return False
-
-        return rec(0, 0)
-
-    for l in range(hi, 0, -1):
-        if feasible(l):
-            return OracleResult("grundy", l, nodes, time.perf_counter() - t0)
-    return OracleResult("grundy", 1, nodes, time.perf_counter() - t0)
+    value = gamma((1 << len(adj)) - 1)
+    return OracleResult("grundy", value, len(memo) - 1, time.perf_counter() - t0)

@@ -33,9 +33,11 @@ def _factor_classes(t2: int, drop_infinity: bool = False):
 
 
 def psi_lower_coloring(n: int) -> Coloring:
-    """A complete coloring of K(n,2) with exactly floor(C(n,2)/2) classes."""
+    """A complete coloring of K(n,2) with floor(C(n,2)/2) classes; 7 <= n <= 129."""
     if n < 7:
         raise ParameterDomainError(f"psi lower construction needs n >= 7, got {n}")
+    if n > 129:
+        raise ParameterDomainError(f"psi lower construction is declared for n <= 129, got {n}")
     coloring = Coloring(build_kneser(n, 2), tuple(_psi_lower_classes(n)))
     return certify(coloring, {"complete"}, count=psi_lower_kn2(n))
 

@@ -57,6 +57,14 @@ def test_domain_error_exits_2():
     assert r.returncode == 2
     err = json.loads(r.stderr)
     assert err["error"] == "ParameterDomainError" and "KTS(2001)" in err["message"]
+    # so is every other constructor beyond its declared range, before it allocates
+    for args in (("construct", "--family", "kn2-achromatic", "--n", "20000"),
+                 ("construct", "--family", "kn2-psi-lower", "--n", "20000"),
+                 ("design", "--type", "sts", "--n", "20001"),
+                 ("geom", "--op", "dvnk", "--n", "200", "--k", "3")):
+        r = run(*args)
+        assert r.returncode == 2, args
+        assert json.loads(r.stderr)["error"] == "ParameterDomainError", args
 
 
 def test_usage_error_exits_2():

@@ -33,7 +33,8 @@ def test_sts_rejects_wrong_residue():
             construct_sts(n)
 
 
-@pytest.mark.parametrize("n", [n for n in range(7, 44) if n % 6 in (1, 3)])
+# 997 and 999 top the declared range, one for each of the Skolem and Bose routes
+@pytest.mark.parametrize("n", [n for n in range(7, 44) if n % 6 in (1, 3)] + [997, 999])
 def test_sts_lambda_one_audit(n):
     d = construct_sts(n)
     assert d.b == n * (n - 1) // 6

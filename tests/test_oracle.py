@@ -53,6 +53,12 @@ def test_grundy_values():
     assert exact_grundy(build_kneser(3, 2)).value == 1
 
 
+def test_grundy_of_k72():
+    """Gamma(K(7,2)) = 9; a Grundy coloring is complete and proper, so this
+    also shows alpha(K(7,2)) >= 9."""
+    assert exact_grundy(build_kneser(7, 2), cap=21).value == 9
+
+
 def test_edgeless_graphs():
     g = build_kneser(3, 2)
     assert exact_chromatic(g).value == 1
@@ -156,6 +162,35 @@ def test_oracles_match_brute_force(seed):
     assert got == _brute_parameters(n, edges), (n, edges)
 
 
+def _first_fit_max(n, edges):
+    """The largest color first-fit uses, over all n! vertex orders (every
+    Grundy coloring is the first-fit coloring of its vertices by color)."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    best = 0
+    for order in permutations(range(n)):
+        classes = []
+        for v in order:
+            for c, cls in enumerate(classes):
+                if not cls & adj[v]:
+                    classes[c] |= 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        best = max(best, len(classes))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_grundy_matches_first_fit_on_eight_vertices(seed):
+    rng = random.Random(seed)
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    edges = [(i, j) for i, j in combinations(range(8), 2) if rng.random() < p]
+    assert exact_grundy(SmallGraph(8, edges)).value == _first_fit_max(8, edges), edges
+
+
 def test_values_the_benchmark_relies_on():
     k62, k63 = build_kneser(6, 2), build_kneser(6, 3)
     assert exact_achromatic(k62).value == exact_pseudoachromatic(k62).value == 7
@@ -170,3 +205,8 @@ def test_search_order_keeps_kneser_searches_small():
     k63 = build_kneser(6, 3)
     assert exact_achromatic(k63, cap=20).nodes_explored < 1000
     assert exact_pseudoachromatic(k63, cap=20).nodes_explored < 1000
+
+
+def test_grundy_recursion_stays_small():
+    """Gamma on D_V(6) convex solves a few hundred vertex subsets."""
+    assert exact_grundy(build_dv(convex_position_points(6), 2)).nodes_explored < 1000
