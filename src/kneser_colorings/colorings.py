@@ -5,8 +5,9 @@ vertices of color i+1); its certificate is the graph's header() plus the
 classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
 on bitsets: each class as a mask of vertex indices and the union of its
-members' neighbourhoods, so checking a coloring of K(n,k) takes
-O(V*k + l^2) big-int operations and never enumerates the edges.
+members' neighbourhoods, so checking a coloring of K(n,k) takes O(V*k)
+big-int operations plus, per class a, one for each vertex outside the union
+U_a (at most 2n-3 on K(n,2)), and never enumerates the edges.
 """
 from __future__ import annotations
 
@@ -107,24 +108,56 @@ def _jsonable(x):
 
 
 def _class_masks(g, coloring: Coloring):
-    """Class of each vertex index, and each class as a bitset of vertex indices."""
+    """Class of each vertex index, and each class as a bitset of vertex indices.
+
+    Each mask is filled as a bytearray and converted once, so a class costs
+    its members plus the bytes of its mask, not a big-int OR per member.
+    """
     cls_of = [None] * g.vertex_count
     masks = []
     for ci, cls in enumerate(coloring.classes):
         if not cls:
             raise CoverageError(f"class {ci + 1} is empty")
-        mask = 0
+        members = []
         for v in cls:
             i = g.index(v)
             if cls_of[i] is not None:
                 raise CoverageError(f"vertex {v} appears in two classes")
             cls_of[i] = ci
-            mask |= 1 << i
-        masks.append(mask)
-    missing = [g.vertices[i] for i, c in enumerate(cls_of) if c is None]
-    if missing:
-        raise CoverageError(f"classes do not cover vertices, first missing {missing[0]}")
+            members.append(i)
+        row = bytearray(max(members) // 8 + 1)
+        for i in members:
+            row[i >> 3] |= 1 << (i & 7)
+        masks.append(int.from_bytes(row, "little"))
+    if None in cls_of:
+        missing = g.vertices[cls_of.index(None)]
+        raise CoverageError(f"classes do not cover vertices, first missing {missing}")
     return cls_of, masks
+
+
+def _incomplete_pair(masks, unions, cls_of):
+    """The least class pair (a, b), a < b, 1-based, with U_a & M_b == 0, or None.
+
+    Class b can miss U_a only if its leader (lowest vertex) lies outside U_a,
+    so the classes above a whose leaders are outside U_a are the only
+    candidates; they are tested in class order, which is not leader order.
+    Where they are not fewer than the classes above a (U_a sparse, as on a
+    matching), all of those are tested instead.
+    """
+    l = len(masks)
+    leaders = 0
+    for m in masks:
+        leaders |= m & -m
+    for a in range(l - 1):
+        outside = leaders & ~unions[a]
+        if outside.bit_count() < l - a - 1:
+            candidates = sorted(cls_of[i] for i in bit_indices(outside))
+        else:
+            candidates = range(a + 1, l)
+        for b in candidates:
+            if b > a and not unions[a] & masks[b]:
+                return a + 1, b + 1
+    return None
 
 
 def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
@@ -137,7 +170,10 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
     M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs
-    O(V*k + l^2) big-int operations.  Witnesses are the first violation in
+    O(V*k) big-int operations plus, per class a, one for each vertex outside
+    U_a: completeness tests only the classes whose lowest vertex lies outside
+    U_a, or every class above a where those are not fewer (on a matching,
+    whose U_a is sparse, that is O(l^2)).  Witnesses are the first violation in
     colex index order: the same-class adjacent pair least by (index u,
     index v); the least class pair; the first vertex with its lowest missing
     color (the proper witness if improper); the first class.
@@ -168,8 +204,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
             rep.witnesses["proper"] = proper_witness
 
     if "complete" in checks:
-        pair = next(((a + 1, b + 1) for a in range(l) for b in range(a + 1, l)
-                     if not unions[a] & masks[b]), None)
+        pair = _incomplete_pair(masks, unions, cls_of)
         rep.complete = pair is None
         if pair:
             rep.witnesses["complete"] = pair

@@ -356,9 +356,11 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
     the triangles of STS(n+1), n = 4 (mod 6) an exact-cover decomposition.
     Declared range: every supported n in 7..40 builds and self-verifies
     (swept in the tests), n = 4 (mod 6) included; other n raise
-    ParameterDomainError.
+    ParameterDomainError, n > 40 before D_V is built.
     """
     n = len(ps)
+    if n > 40:
+        raise ParameterDomainError(f"D_V coloring is declared for n <= 40, got {n}")
     if n % 2 == 1:
         if n % 6 not in (1, 3):
             raise ParameterDomainError(

@@ -103,10 +103,14 @@ def matching_coloring(m: int) -> Coloring:
     """Proper complete coloring of an m-edge matching with max_colors_for_pairs(m) colors.
 
     Edge t < C(r,2) gets the t-th color pair {i,j} (lexicographic); leftover
-    edges cycle through the pairs again.
+    edges cycle through the pairs again.  Declared for 1 <= m <= 100,000,
+    since its self-verification grows as m^2; larger m raise
+    ParameterDomainError before any class is built.
     """
     if m < 1:
         raise ParameterDomainError(f"matching needs m >= 1 edges, got {m}")
+    if m > 100_000:
+        raise ParameterDomainError(f"matching coloring is declared for m <= 100000, got {m}")
     r = max_colors_for_pairs(m)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
     classes = [[] for _ in range(r)]

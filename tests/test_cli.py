@@ -61,7 +61,9 @@ def test_domain_error_exits_2():
     for args in (("construct", "--family", "kn2-achromatic", "--n", "20000"),
                  ("construct", "--family", "kn2-psi-lower", "--n", "20000"),
                  ("design", "--type", "sts", "--n", "20001"),
-                 ("geom", "--op", "dvnk", "--n", "200", "--k", "3")):
+                 ("geom", "--op", "dvnk", "--n", "200", "--k", "3"),
+                 ("construct", "--family", "matching", "--m", "3000000"),
+                 ("geom", "--op", "dv-coloring", "--n", "100", "--layout", "convex")):
         r = run(*args)
         assert r.returncode == 2, args
         assert json.loads(r.stderr)["error"] == "ParameterDomainError", args

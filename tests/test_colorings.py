@@ -56,6 +56,62 @@ def test_completeness_agrees_with_naive_scan(n):
     assert rep.complete == ok and rep.proper == ok_p
 
 
+def test_completeness_witness_when_leaders_run_against_class_order():
+    """Class 1 (the star 12, 13, 14 of K(7,2)) sees none of classes 2, 3, 4 =
+    {17}, {16}, {15}, whose lowest vertices come in the reverse of their class
+    order; the witness is still the least pair."""
+    g = build_kneser(7, 2)
+    assert g.index((1, 5)) < g.index((1, 6)) < g.index((1, 7))
+    classes = (((1, 2), (1, 3), (1, 4)), ((1, 7),), ((1, 6),), ((1, 5),),
+               *(((v,) for v in g.vertices if 1 not in v)))
+    rep = verify_coloring(Coloring(g, classes), checks={"complete"})
+    assert (rep.complete, rep.witnesses) == (False, {"complete": (1, 2)})
+    assert brute_complete(classes, _kneser_adjacent) == (False, (1, 2))
+
+
+def _tampered(classes, rng):
+    """A copy of classes with two of them merged, or with one member split off
+    into a class of its own at a random position."""
+    classes = list(classes)
+    if rng.random() < 0.5:
+        a, b = rng.sample(range(len(classes)), 2)
+        classes[a] += classes[b]
+        del classes[b]
+    else:
+        a = rng.choice([i for i, cls in enumerate(classes) if len(cls) > 1])
+        cls = list(classes[a])
+        v = cls.pop(rng.randrange(len(cls)))
+        classes[a] = tuple(cls)
+        classes.insert(rng.randrange(len(classes) + 1), (v,))
+    return tuple(classes)
+
+
+def _dv8_convex():
+    c = dv_achromatic_coloring(convex_position_points(8))
+    return c, c.graph.adjacent_subsets
+
+
+_TAMPERED_CASES = {
+    "K(30,2)": lambda: (achromatic_coloring(30), _kneser_adjacent),
+    "matching(40)": lambda: (pseudoachromatic.matching_coloring(40),
+                             lambda u, v: abs(u - v) == 40),
+    "D_V(8) convex": _dv8_convex,
+}
+
+
+@pytest.mark.parametrize("make", _TAMPERED_CASES.values(), ids=_TAMPERED_CASES.keys())
+def test_tampered_completeness_matches_brute_force(make):
+    """Merged and split copies of a construction get the naive scan's verdict
+    and least incomplete pair."""
+    c, adjacent = make()
+    rng = random.Random(c.color_count)
+    for _ in range(12):
+        classes = _tampered(c.classes, rng)
+        rep = verify_coloring(Coloring(c.graph, classes), checks={"complete"})
+        ok, pair = brute_complete(classes, adjacent)
+        assert (rep.complete, rep.witnesses.get("complete")) == (ok, pair), classes
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_perturbation_detected(seed):
     """Moving one vertex between classes must flip a verdict or a witness."""

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from kneser_colorings import geometry
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError, SizeCapError
 from kneser_colorings.geometry import (PointSet, build_dv, convex_position_points,
                                        dv_achromatic_coloring, dvnk_lower_coloring,
@@ -203,6 +204,17 @@ def test_dv_coloring_domain_errors():
     assert not nonconvex.convex_position
     with pytest.raises(ParameterDomainError):
         dv_achromatic_coloring(nonconvex)
+
+
+def test_dv_coloring_refuses_n_above_declared_range(monkeypatch):
+    """n = 42 (0 mod 6) has a route, but lies above the declared 7..40: refused
+    before D_V is built."""
+    def no_build(*args):
+        raise AssertionError("D_V built beyond the declared range")
+
+    monkeypatch.setattr(geometry, "build_dv", no_build)
+    with pytest.raises(ParameterDomainError, match="n <= 40, got 42"):
+        dv_achromatic_coloring(convex_position_points(42))
 
 
 def test_dv_coloring_sweep():

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from kneser_colorings import designs, pseudoachromatic
+from kneser_colorings.bounds import max_colors_for_pairs
 from kneser_colorings.colorings import Coloring, verify_coloring
 from kneser_colorings.errors import ParameterDomainError
 from kneser_colorings.kneser import build_kneser
@@ -83,6 +84,15 @@ def test_matching_color_counts(m, colors):
 def test_matching_rejects_zero():
     with pytest.raises(ParameterDomainError):
         matching_coloring(0)
+
+
+def test_matching_sweep():
+    """matching_coloring builds and self-verifies for m in 1..300 and at 1,000,
+    10,000 and its declared cap 100,000, and refuses m above the cap."""
+    for m in (*range(1, 301), 1000, 10_000, 100_000):
+        assert matching_coloring(m).color_count == max_colors_for_pairs(m), m
+    with pytest.raises(ParameterDomainError, match="m <= 100000"):
+        matching_coloring(100_001)
 
 
 @pytest.mark.parametrize("k,colors", [(2, 3), (3, 5)])
