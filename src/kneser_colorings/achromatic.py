@@ -24,6 +24,12 @@ from .kneser import build_kneser
 K42_PATTERN = (((1, 2), (1, 3)), ((2, 3), (3, 4)), ((1, 4), (2, 4)))
 K52_PATTERN = (((1, 2), (2, 4)), ((2, 3), (3, 5)), ((1, 4), (3, 4)),
                ((2, 5), (4, 5)), ((1, 3), (1, 5)))
+# STS(9) minus points 8 and 9: its five triangles, then the 6-cycle left over
+# (2 5 4 6 3 7) as two paths and two singletons.  Point 1, in the block
+# {1, 8, 9}, lies in triangle classes only.
+K72_PATTERN = (((1, 2), (1, 6), (2, 6)), ((1, 3), (1, 5), (3, 5)), ((1, 4), (1, 7), (4, 7)),
+               ((2, 3), (2, 4), (3, 4)), ((5, 6), (5, 7), (6, 7)),
+               ((2, 5), (4, 5)), ((3, 6), (3, 7)), ((4, 6),), ((2, 7),))
 
 
 def _pair(a: int, b: int):
@@ -42,41 +48,6 @@ def _map_pattern(pattern, points):
     for cls in pattern:
         out.append(tuple(sorted(_pair(points[x - 1], points[y - 1]) for x, y in cls)))
     return out
-
-
-def _k72_pattern():
-    """The 9-class pattern on K(7,2): STS(9) minus two points.
-
-    Returns (triangles, paths, singletons, exceptional_point) on points 1..7.
-    The six pairs left over after deleting two points always close into a
-    6-cycle w1..w6; classes {w1w2, w2w3}, {w4w5, w5w6}, {w3w4}, {w6w1}.
-    """
-    sts9 = construct_sts(9)
-    gone = {8, 9}
-    triangles = []
-    leftover = []
-    for blk in sts9.blocks:
-        hit = set(blk) & gone
-        if not hit:
-            triangles.append(_triangle_class(*blk))
-        elif len(hit) == 1:
-            a, b = (p for p in blk if p not in gone)
-            leftover.append(_pair(a, b))
-    nbr = {}
-    for a, b in leftover:
-        nbr.setdefault(a, []).append(b)
-        nbr.setdefault(b, []).append(a)
-    start = min(nbr)
-    walk = [start, min(nbr[start])]
-    while len(walk) < 6:
-        prev, cur = walk[-2], walk[-1]
-        walk.append(next(w for w in nbr[cur] if w != prev))
-    w1, w2, w3, w4, w5, w6 = walk
-    paths = [tuple(sorted((_pair(w1, w2), _pair(w2, w3)))),
-             tuple(sorted((_pair(w4, w5), _pair(w5, w6))))]
-    singletons = [(_pair(w3, w4),), (_pair(w6, w1),)]
-    exceptional = next(p for p in range(1, 8) if p not in nbr)
-    return triangles, paths, singletons, exceptional
 
 
 def _case1(n: int):
@@ -139,26 +110,11 @@ def _case4(n: int):
         paths.append(tuple(sorted((_pair(a, v3), _pair(v3, d)))))
         paths.append(tuple(sorted((_pair(b, v1), _pair(v1, d)))))
         paths.append(tuple(sorted((_pair(c, v2), _pair(v2, d)))))
-    tail_tris, tail_paths, tail_singles, z = _k72_pattern()
-    # map the tail onto the last triple plus a,b,c,d; the tail's exceptional
-    # point goes to d so every pair at d lands in a triangle class (this is
-    # what lets the size-ordered relabeling be a Grundy coloring here)
-    last = pc[-1]
-    s_pts = [last[0], last[1], last[2], a, b, c]
-    mapping = [0] * 8
-    mapping[z] = d
-    rest = iter(s_pts)
-    for p in range(1, 8):
-        if p != z:
-            mapping[p] = next(rest)
-
-    def remap(cls):
-        return tuple(sorted(_pair(mapping[x], mapping[y]) for x, y in cls))
-
-    triangles.extend(remap(cls) for cls in tail_tris)
-    paths.extend(remap(cls) for cls in tail_paths)
-    singles = [remap(cls) for cls in tail_singles]
-    return triangles + paths + singles
+    # the K(7,2) pattern on the last triple plus a,b,c,d, its point 1 at d so
+    # every pair at d lands in a triangle class (this is what lets the
+    # size-ordered relabeling be a Grundy coloring here)
+    tail = _map_pattern(K72_PATTERN, (d, *pc[-1], a, b, c))
+    return triangles + tail[:5] + paths + tail[5:]
 
 
 def achromatic_coloring(n: int) -> Coloring:
@@ -172,8 +128,7 @@ def achromatic_coloring(n: int) -> Coloring:
     elif n == 4:
         classes = list(K42_PATTERN)
     elif n == 7:
-        tris, paths, singles, _ = _k72_pattern()
-        classes = tris + paths + singles
+        classes = list(K72_PATTERN)
     elif n % 6 in (0, 2):
         classes = _case1(n)
     elif n % 6 in (3, 5):

@@ -224,6 +224,9 @@ def _cmd_design(plan) -> int:
 
 def _cmd_geom(plan) -> int:
     n = plan.n
+    if n > geometry.POINT_CAP:  # refused before a point is sampled or scanned
+        raise ParameterDomainError(f"geom is declared for n <= {geometry.POINT_CAP} points, "
+                                   f"got {n}")
     if plan.layout == "convex":
         ps = geometry.convex_position_points(n)
     elif plan.layout == "random":

@@ -2,13 +2,15 @@
 
 Steiner triple systems come from the Bose (n = 3 mod 6) and Skolem
 (n = 1 mod 6) quasigroup constructions; a Bose system's parallel class is
-its transversal blocks, no search needed.  Kirkman systems KTS(n) take one
-of three routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2)
-spread partition, and every other n up to 129 runs one rotational starter
-search (so every n = 9 (mod 18) up to 387 is built; the rest is refused).
-Each search is an exact cover on columns it numbers itself: its 3m pair
-orbits, then its points (x, level) at 3m + level*m + x.  The (21,5,1)-design
-is PG(2,4).
+its transversal blocks, no search needed.  The same quasigroup blocks give
+the maximum triangle packing of K_v, v = 5 (mod 6), whose leave is a
+4-cycle (the 6m+5 construction).  Kirkman systems KTS(n) take one of three
+routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2) spread
+partition, and every other n up to 129 runs one rotational starter search
+(so every n = 9 (mod 18) up to 387 is built; the rest is refused).  These
+two are the only exact covers left in the package, each on columns it
+numbers itself: the rotational search's 3m pair orbits, then its points
+(x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
 1-factorizations use the circle method.  Where it is not 4-cycle-free
 (exactly the orders with 3 | 2t-1) the 4-cycle-free one develops a starter
 of Z_{2t-1} found by one deterministic search, or, for K_10, is a fixed table.
@@ -136,22 +138,23 @@ def _checked(d: Design) -> Design:
 # Steiner triple systems
 
 
+def _level_blocks(m: int, third):
+    """The blocks {(x,l), (y,l), (third(x,y), l+1)}, x < y in Z_m, l in Z_3.
+
+    Point (x, l) is labelled l*m + x + 1; third is a commutative quasigroup
+    (or one composed with a permutation), so each pair inside a level lies in
+    exactly one of these blocks.
+    """
+    return [tuple(sorted((lev * m + x + 1, lev * m + y + 1, (lev + 1) % 3 * m + third(x, y) + 1)))
+            for lev in range(3) for x, y in combinations(range(m), 2)]
+
+
 def _bose_sts(n: int) -> Design:
     # n = 6t+3; points Z_{2t+1} x {0,1,2}; idempotent quasigroup x*y = (x+y)(t+1)
     t = (n - 3) // 6
     m = 2 * t + 1
-    half = t + 1  # inverse of 2 mod m
-
-    def lab(x, lev):
-        return lev * m + x + 1
-
-    blocks = []
-    for x in range(m):
-        blocks.append(tuple(sorted((lab(x, 0), lab(x, 1), lab(x, 2)))))
-    for lev in range(3):
-        for x, y in combinations(range(m), 2):
-            z = ((x + y) * half) % m
-            blocks.append(tuple(sorted((lab(x, lev), lab(y, lev), lab(z, (lev + 1) % 3)))))
+    blocks = [(x + 1, m + x + 1, 2 * m + x + 1) for x in range(m)]
+    blocks += _level_blocks(m, lambda x, y: (x + y) * (t + 1) % m)
     return Design(n=n, blocks=tuple(sorted(blocks)), k=3, r=(n - 1) // 2, lam=1)
 
 
@@ -160,27 +163,49 @@ def _skolem_sts(n: int) -> Design:
     t = (n - 1) // 6
     m = 2 * t
 
-    def f(v):  # renaming that makes x*y = f(x+y) half-idempotent
+    def op(x, y):  # f(x+y), the renaming f making x*y half-idempotent
+        v = (x + y) % m
         return v // 2 if v % 2 == 0 else t + (v - 1) // 2
 
-    def op(x, y):
-        return f((x + y) % m)
-
     inf = n
-
-    def lab(x, lev):
-        return lev * m + x + 1
-
-    blocks = []
-    for x in range(t):
-        blocks.append(tuple(sorted((lab(x, 0), lab(x, 1), lab(x, 2)))))
+    blocks = [(x + 1, m + x + 1, 2 * m + x + 1) for x in range(t)]
     for x in range(t, m):
         for lev in range(3):
-            blocks.append(tuple(sorted((inf, lab(x, lev), lab(op(x, x), (lev + 1) % 3)))))
-    for lev in range(3):
-        for x, y in combinations(range(m), 2):
-            blocks.append(tuple(sorted((lab(x, lev), lab(y, lev), lab(op(x, y), (lev + 1) % 3)))))
+            blocks.append(tuple(sorted((inf, lev * m + x + 1, (lev + 1) % 3 * m + op(x, x) + 1))))
+    blocks += _level_blocks(m, op)
     return Design(n=n, blocks=tuple(sorted(blocks)), k=3, r=(n - 1) // 2, lam=1)
+
+
+def triangle_packing(v: int):
+    """A maximum triangle packing of K_v, v = 5 (mod 6), as sorted blocks.
+
+    The 6m+5 construction: points Z_m x {0,1,2} (m = (v-2)/3, point (x, l)
+    labelled l*m + x + 1) plus inf1 = v-1 and inf2 = v.  The Bose blocks with
+    their third point moved by alpha = (0)(1 2)(3 4)...(m-2 m-1) miss the
+    pairs (x,l)(alpha(x),l+1); for odd x, {inf1, (x,l), (x+1,l+1)} and
+    {inf2, (x+1,l), (x,l+1)} take all of them but (0,l)(0,l+1), and
+    {inf1, (0,0), (0,1)}, {inf2, (0,1), (0,2)} two of those.  The leave is
+    the 4-cycle (0,0) (0,2) inf1 inf2, so deleting inf2 leaves a 3-edge star
+    at (0,2) plus a perfect matching.  Built for 5 <= v <= 999.
+    """
+    if v % 6 != 5 or not 5 <= v <= 999:
+        raise ParameterDomainError(f"the triangle packing is built for v = 5 (mod 6), "
+                                   f"5 <= v <= 999, got {v}")
+    m = (v - 2) // 3
+    inf1, inf2 = v - 1, v
+
+    def third(x, y):  # alpha((x+y)/2)
+        z = (x + y) * (m + 1) // 2 % m
+        return z + 1 if z % 2 else max(z - 1, 0)
+
+    blocks = _level_blocks(m, third)
+    for x in range(1, m, 2):
+        for lev in range(3):
+            up = (lev + 1) % 3 * m
+            blocks.append((lev * m + x + 1, up + x + 2, inf1))
+            blocks.append((lev * m + x + 2, up + x + 1, inf2))
+    blocks += [(1, m + 1, inf1), (m + 1, 2 * m + 1, inf2)]
+    return tuple(sorted(tuple(sorted(blk)) for blk in blocks))
 
 
 @cache

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .achromatic import _pair, _triangle_class
+from .achromatic import _map_pattern, _triangle_class
 from .colorings import Coloring, certify
-from .designs import construct_sts
+from .designs import construct_sts, triangle_packing
 from .errors import ParameterDomainError, SearchExhaustedError, SizeCapError
-from .exact_cover import exact_cover
 from .kneser import SubsetGraph, bit_indices
 
+POINT_CAP = 64  # points; the largest declared range of a geom operation (the D_V coloring)
 THRACKLE_CAP = 7  # points; the clique search behind thrackle_max_edges is exponential
+TRIANGLE_PAIR_CAP = 16  # points; triangle_pair_check compares O(n^6) triangle pairs
 
 
 def orientation(p, q, r) -> int:
@@ -326,8 +327,13 @@ class TrianglePairReport:
 
 
 def triangle_pair_check(ps: PointSet) -> TrianglePairReport:
-    """Every two point triangles sharing <= 1 point contain two disjoint edges."""
+    """Every two point triangles sharing <= 1 point contain two disjoint edges.
+
+    Capped at TRIANGLE_PAIR_CAP points.
+    """
     n = len(ps)
+    if n > TRIANGLE_PAIR_CAP:
+        raise SizeCapError(f"triangle pair check capped at {TRIANGLE_PAIR_CAP} points, got {n}")
     if n < 5:  # two triangles on at most four points share an edge
         return TrianglePairReport(pairs_checked=0, counterexamples=[])
     g = build_dv(ps, 2)
@@ -351,16 +357,17 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
     """A proper complete coloring of D_V(n).
 
     Odd n = 1,3 (mod 6): the blocks of STS(n) as triangle classes (any
-    general-position set).  Even n (convex position): triangles of K_n - F
-    plus the components of F, where F sits on the hull; n = 0,2 (mod 6) take
-    the triangles of STS(n+1), n = 4 (mod 6) an exact-cover decomposition.
-    Declared range: every supported n in 7..40 builds and self-verifies
-    (swept in the tests), n = 4 (mod 6) included; other n raise
-    ParameterDomainError, n > 40 before D_V is built.
+    general-position set).  Even n (convex position): a triangle packing of
+    K_{n+1} minus its last point, as triangle classes plus the components of
+    the forest F left over, with F placed on the hull; the packing is
+    STS(n+1) for n = 0,2 (mod 6) and triangle_packing(n+1) for n = 4 (mod 6).
+    No search on any route.  Declared range: every supported n in
+    7..POINT_CAP builds and self-verifies (swept in the tests); other n raise
+    ParameterDomainError, n > POINT_CAP before D_V is built.
     """
     n = len(ps)
-    if n > 40:
-        raise ParameterDomainError(f"D_V coloring is declared for n <= 40, got {n}")
+    if n > POINT_CAP:
+        raise ParameterDomainError(f"D_V coloring is declared for n <= {POINT_CAP}, got {n}")
     if n % 2 == 1:
         if n % 6 not in (1, 3):
             raise ParameterDomainError(
@@ -371,55 +378,32 @@ def dv_achromatic_coloring(ps: PointSet) -> Coloring:
     else:
         if not ps.convex_position:
             raise ParameterDomainError("even route requires points in convex position")
-        hull = ps.hull_labels()
-        if n % 6 in (0, 2):
-            classes = _even_matching_route(n, hull)
-            expect = comb(n + 1, 2) // 3
-        else:
-            classes = _even_forest_route(n, hull)
-            expect = (n * n + n - 8) // 6
+        classes = _even_route(n, ps.hull_labels())
+        expect = comb(n + 1, 2) // 3 if n % 6 in (0, 2) else (n * n + n - 8) // 6
     return certify(Coloring(build_dv(ps, 2), tuple(classes)), {"proper", "complete"},
                    count=expect)
 
 
-def _even_matching_route(n, hull):
-    # STS(n+1) minus its last point leaves triangles plus a perfect matching;
-    # relabel so the matching runs along alternating hull edges.
-    sts = construct_sts(n + 1)
+def _even_route(n, hull):
+    # Deleting point n+1 from a triangle packing of K_{n+1} leaves triangles
+    # plus a forest F on 1..n: a perfect matching, or for n = 4 (mod 6) a
+    # 3-edge star plus one.  Relabel so the star sits at h1 (hull edges h1h2,
+    # h1hn and the diagonal h1h3) and the matching runs along alternating hull
+    # edges after it.
     v = n + 1
-    matching = sorted(tuple(p for p in blk if p != v) for blk in sts.blocks if v in blk)
-    relab = {}
-    for i, (x, y) in enumerate(matching):
-        relab[x] = hull[2 * i]
-        relab[y] = hull[2 * i + 1]
-    classes = [(_pair(hull[2 * i], hull[2 * i + 1]),) for i in range(len(matching))]
-    triangles = [_triangle_class(*(relab[p] for p in blk))
-                 for blk in sts.blocks if v not in blk]
-    return triangles + classes
-
-
-def _even_forest_route(n, hull):
-    # F = 3-edge star at h1 (two hull edges plus the short diagonal h1-h3)
-    # plus alternating hull-edge matching on h4..h_{n-1}; all F-degrees odd.
-    h = hull
-    star = [_pair(h[0], h[1]), _pair(h[0], h[2]), _pair(h[0], h[n - 1])]
-    matching = [_pair(h[i], h[i + 1]) for i in range(3, n - 2, 2)]
-    forest = set(star) | set(matching)
-    edges = [e for e in combinations(range(1, n + 1), 2) if e not in forest]
-    col = {e: j for j, e in enumerate(edges)}  # column of each edge of K_n - F
-    rows, tris = [], []
-    for t in combinations(range(1, n + 1), 3):
-        es = (t[:2], (t[0], t[2]), t[1:])
-        if all(e in col for e in es):
-            rows.append(sum(1 << col[e] for e in es))
-            tris.append(t)
-    sol = exact_cover(len(edges), rows, max_nodes=500000)
-    if sol is None:
-        raise SearchExhaustedError(f"no triangle decomposition of K_{n} - F found")
-    classes = [_triangle_class(*tris[r]) for r in sorted(sol)]
-    classes.append(tuple(sorted(star)))
-    classes.extend((e,) for e in matching)
-    return classes
+    packing = construct_sts(v).blocks if n % 6 in (0, 2) else triangle_packing(v)
+    tris = [blk for blk in packing if v not in blk]
+    covered = {e for blk in tris for e in combinations(blk, 2)}
+    forest = [e for e in combinations(range(1, v), 2) if e not in covered]
+    ends = [p for e in forest for p in e]
+    hub = {p for p in ends if ends.count(p) == 3}  # the star's centre, if any
+    star = [e for e in forest if hub & set(e)]
+    matching = [e for e in forest if not hub & set(e)]
+    order = [*hub, *(p for e in star for p in e if p not in hub), *(p for e in matching for p in e)]
+    place = dict(zip(order, (hull[:3] + hull[-1:] + hull[3:-1]) if star else hull))
+    pattern = [tuple(combinations(blk, 2)) for blk in tris]
+    pattern += ([tuple(star)] if star else []) + [(e,) for e in matching]
+    return _map_pattern(pattern, [place[p] for p in range(1, v)])
 
 
 def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:

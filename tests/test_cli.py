@@ -169,6 +169,24 @@ def test_geom_ops():
     assert r.returncode == 0 and json.loads(r.stdout)["passes"]
 
 
+def test_geom_refuses_n_above_point_cap_before_any_point(monkeypatch, capsys):
+    from kneser_colorings import cli, geometry
+
+    def refuse(*args):
+        raise AssertionError("a point was sampled or scanned above the point cap")
+
+    monkeypatch.setattr(geometry, "orientation", refuse)
+    for layout in ("convex", "random", "random-convex"):
+        assert cli.main(["geom", "--op", "dv-coloring", "--n", "400", "--layout", layout]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterDomainError" and "got 400" in err["message"]
+
+
+def test_geom_triangle_pairs_cap_exits_2():
+    r = run("geom", "--op", "triangle-pairs", "--n", "60")
+    assert r.returncode == 2 and json.loads(r.stderr)["error"] == "SizeCapError"
+
+
 def test_verify_wrong_params_exits_2(tmp_path):
     out = tmp_path / "c.json"
     run("construct", "--family", "kn2-achromatic", "--n", "6", "--out", str(out))

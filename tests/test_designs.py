@@ -7,8 +7,8 @@ from kneser_colorings import designs
 from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair_count,
                                       circle_factor, construct_design_21_5_1, construct_kts,
                                       construct_one_factorization, construct_sts,
-                                      find_parallel_class, union_cycle_lengths,
-                                      verify_design)
+                                      find_parallel_class, triangle_packing,
+                                      union_cycle_lengths, verify_design)
 from kneser_colorings.errors import (CertificateError, ParameterDomainError,
                                      SearchExhaustedError)
 
@@ -42,6 +42,24 @@ def test_sts_lambda_one_audit(n):
     assert all(c == 1 for c in cover.values())
     assert d.n * d.r == d.b * d.k
     assert d.r * (d.k - 1) == d.lam * (d.n - 1)
+
+
+@pytest.mark.parametrize("v", range(11, 204, 6))
+def test_triangle_packing_leaves_its_4_cycle(v):
+    """Every pair lies in at most one block; the pairs in none are exactly the
+    4-cycle (0,0) (0,2) inf1 inf2 of the docstring."""
+    m = (v - 2) // 3
+    cover = brute_pair_cover(triangle_packing(v), v)
+    assert max(cover.values()) == 1
+    cycle = (1, 2 * m + 1, v - 1, v)
+    assert {pq for pq, c in cover.items() if c == 0} == \
+        {tuple(sorted((cycle[i], cycle[i - 1]))) for i in range(4)}
+
+
+def test_triangle_packing_rejects_wrong_residue():
+    for v in (-1, 4, 6, 7, 9, 1001):
+        with pytest.raises(ParameterDomainError):
+            triangle_packing(v)
 
 
 def test_parallel_class_sts9():

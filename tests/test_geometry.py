@@ -173,6 +173,12 @@ def test_triangle_pairs_parabola_and_random():
         assert rep.passes and rep.pairs_checked > 0
 
 
+def test_triangle_pairs_cap():
+    assert triangle_pair_check(convex_position_points(16)).passes
+    with pytest.raises(SizeCapError):
+        triangle_pair_check(convex_position_points(17))
+
+
 def test_triangle_pairs_skip_shared_edge():
     rep = triangle_pair_check(convex_position_points(4))
     # every pair of triangles on 4 points shares 2 points: nothing to check
@@ -191,8 +197,8 @@ def test_dv_coloring_even_matching_route(n, classes):
     assert c.color_count == classes == comb(n + 1, 2) // 3
 
 
-@pytest.mark.parametrize("n", [10, 16])
-def test_dv_coloring_even_forest_route(n):
+@pytest.mark.parametrize("n", [10, 16, 46, 64])
+def test_dv_coloring_even_packing_route(n):
     c = dv_achromatic_coloring(convex_position_points(n))
     assert c.color_count == (n * n + n - 8) // 6
 
@@ -207,19 +213,19 @@ def test_dv_coloring_domain_errors():
 
 
 def test_dv_coloring_refuses_n_above_declared_range(monkeypatch):
-    """n = 42 (0 mod 6) has a route, but lies above the declared 7..40: refused
+    """n = 66 (0 mod 6) has a route, but lies above the declared 7..64: refused
     before D_V is built."""
     def no_build(*args):
         raise AssertionError("D_V built beyond the declared range")
 
     monkeypatch.setattr(geometry, "build_dv", no_build)
-    with pytest.raises(ParameterDomainError, match="n <= 40, got 42"):
-        dv_achromatic_coloring(convex_position_points(42))
+    with pytest.raises(ParameterDomainError, match="n <= 64, got 66"):
+        dv_achromatic_coloring(convex_position_points(66))
 
 
 def test_dv_coloring_sweep():
-    """Every n in 7..40 that dv_achromatic_coloring supports builds and self-verifies."""
-    for n in range(7, 41):
+    """Every n in 7..64 that dv_achromatic_coloring supports builds and self-verifies."""
+    for n in range(7, 65):
         if n % 2 and n % 6 in (1, 3):
             c = dv_achromatic_coloring(random_general_position(n, seed=n))
             assert c.color_count == comb(n, 2) // 3
