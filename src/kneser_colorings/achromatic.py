@@ -11,11 +11,9 @@ count, condition (C)) and refuses to emit anything that fails.
 """
 from __future__ import annotations
 
-from math import comb
-
 from .bounds import alpha_upper_kn2
 from .colorings import Coloring, certify, check_condition_C
-from .designs import construct_sts, find_parallel_class
+from .designs import construct_sts, find_parallel_class, punctured_packing
 from .errors import CertificateError, ParameterDomainError, ShapeError
 from .kneser import build_kneser
 
@@ -51,18 +49,9 @@ def _map_pattern(pattern, points):
 
 
 def _case1(n: int):
-    # n = 0,2 mod 6: STS(n+1) minus its last point
-    sts = construct_sts(n + 1)
-    v = n + 1
-    triangles = []
-    singles = []
-    for blk in sts.blocks:
-        if v in blk:
-            a, b = (p for p in blk if p != v)
-            singles.append((_pair(a, b),))
-        else:
-            triangles.append(_triangle_class(*blk))
-    return triangles + singles
+    # n = 0,2 mod 6: STS(n+1) minus its last point; the leave is a matching
+    triangles, leave = punctured_packing(n)
+    return [_triangle_class(*blk) for blk in triangles] + [(e,) for e in leave]
 
 
 def _case2(n: int):
@@ -158,6 +147,3 @@ def grundy_relabel(coloring: Coloring) -> Coloring:
     classes = tuple(sorted(coloring.classes, key=lambda cls: order[len(cls)]))
     return Coloring(coloring.graph, classes)
 
-
-def max_degree_kn2(n: int) -> int:
-    return comb(n - 2, 2)

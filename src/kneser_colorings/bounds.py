@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import ParameterDomainError
@@ -17,12 +16,8 @@ from .kneser import lovasz_chromatic
 
 def floor_half_plus_sqrt(n_under_root: int) -> int:
     """floor(1/2 + sqrt(1/4 + N)) = max{r >= 1 : r(r-1) <= N}, exactly."""
-    r = (1 + isqrt(1 + 4 * n_under_root)) // 2
-    while r * (r - 1) > n_under_root:
-        r -= 1
-    while (r + 1) * r <= n_under_root:
-        r += 1
-    return r
+    # r(r-1) <= N  <=>  (2r-1)^2 <= 4N+1  <=>  2r-1 <= isqrt(4N+1)
+    return (1 + isqrt(1 + 4 * n_under_root)) // 2
 
 
 def max_colors_for_pairs(m: int) -> int:
@@ -74,32 +69,24 @@ def improved_psi_bound(n: int, k: int) -> int:
     total = comb(n, k)
     dk = comb(n - k, k)
 
-    def f(x):
-        return Fraction(total, x)
-
     def g(x):
         rest = n - k * x
         tail = comb(rest, k) if rest >= k else 0
-        return Fraction(1 + x * dk - (x - 1) * tail)
+        return 1 + x * dk - (x - 1) * tail
 
+    # f(x) >= g(x) is total >= x g(x), and floor(min(f, g)) = min(total // x, g(x))
     lo, hi = 1, total  # find the last x with f(x) >= g(x), if any
-    if f(1) < g(1):
+    if total < g(1):
         xstar = 0
     else:
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if f(mid) >= g(mid):
+            if total >= mid * g(mid):
                 lo = mid
             else:
                 hi = mid - 1
         xstar = lo
-    candidates = []
-    if xstar >= 1:
-        candidates.append(min(f(xstar), g(xstar)))
-    if xstar + 1 <= total:
-        candidates.append(min(f(xstar + 1), g(xstar + 1)))
-    best = max(candidates)
-    return int(best)  # Fraction truncates toward zero; positive here, so floor
+    return max(min(total // x, g(x)) for x in (xstar, xstar + 1) if 1 <= x <= total)
 
 
 def b_chromatic_lower(n: int, k: int) -> int:
@@ -148,8 +135,6 @@ def bounds_table(n_max: int, k_max: int) -> list:
     for n in range(2, n_max + 1):
         for k in range(2, k_max + 1):
             if k != 2 and 2 * k > n:
-                continue
-            if k > n:
                 continue
             notes = []
             chi = lovasz_chromatic(n, k) if 2 * k <= n + 1 else 1

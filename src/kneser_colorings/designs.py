@@ -5,22 +5,23 @@ Steiner triple systems come from the Bose (n = 3 mod 6) and Skolem
 its transversal blocks, no search needed.  The same quasigroup blocks give
 the maximum triangle packing of K_v, v = 5 (mod 6), whose leave is a
 4-cycle (the 6m+5 construction).  Kirkman systems KTS(n) take one of three
-routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the PG(3,2) spread
-partition, and every other n up to 129 runs one rotational starter search
-(so every n = 9 (mod 18) up to 387 is built; the rest is refused).  These
-two are the only exact covers left in the package, each on columns it
-numbers itself: the rotational search's 3m pair orbits, then its points
+routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the orbit of one PG(3,2)
+spread under a collineation of order 7, and every other n up to 129 runs
+one rotational starter search (so every n = 9 (mod 18) up to 387 is built;
+the rest is refused).  That search is the only exact cover left in the
+package, on columns it numbers itself: its 3m pair orbits, then its points
 (x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
-1-factorizations use the circle method.  Where it is not 4-cycle-free
-(exactly the orders with 3 | 2t-1) the 4-cycle-free one develops a starter
-of Z_{2t-1} found by one deterministic search, or, for K_10, is a fixed table.
+1-factorizations develop a starter of Z_{2t-1}: the circle method's, or,
+where that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), the
+4-cycle-free one found by one deterministic search; K_10 is a fixed table.
+Every KTS and 1-factorization passes the same resolution check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
-from math import comb
+from operator import xor
 
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
 from .exact_cover import exact_cover
@@ -218,6 +219,21 @@ def construct_sts(n: int) -> Design:
     return _checked(_bose_sts(n) if n % 6 == 3 else _skolem_sts(n))
 
 
+def punctured_packing(n: int):
+    """Triangles and leave of a maximum triangle packing of K_{n+1} less point n+1.
+
+    n = 0, 2 (mod 6): the packing is STS(n+1), and the leave on 1..n is a
+    perfect matching (the blocks through n+1), in lexicographic order like
+    every leave here; n = 4 (mod 6): triangle_packing(n+1), and the leave
+    is a 3-edge star plus a perfect matching.  The triangles are sorted.
+    """
+    v = n + 1
+    packing = construct_sts(v).blocks if n % 6 in (0, 2) else triangle_packing(v)
+    triangles = [blk for blk in packing if v not in blk]
+    covered = {e for blk in triangles for e in combinations(blk, 2)}
+    return triangles, [e for e in combinations(range(1, v), 2) if e not in covered]
+
+
 def find_parallel_class(d: Design):
     """The Bose transversal class of an STS(n), n = 3 (mod 6), in sorted order.
 
@@ -238,10 +254,16 @@ def find_parallel_class(d: Design):
 
 
 def _resolution_from_days(n: int, days) -> Resolution:
+    """The verified resolvable 2-(n, k, 1) design whose parallel classes are days.
+
+    k is read off the blocks and r = (n-1)/(k-1): KTS days (k = 3) and the
+    factors of a 1-factorization of K_n (k = 2) are certified alike.
+    """
     blocks = tuple(sorted(blk for day in days for blk in day))
     index = {blk: i for i, blk in enumerate(blocks)}
     classes = tuple(tuple(sorted(index[blk] for blk in day)) for day in days)
-    design = _checked(Design(n=n, blocks=blocks, k=3, r=(n - 1) // 2, lam=1))
+    k = len(blocks[0])
+    design = _checked(Design(n=n, blocks=blocks, k=k, r=(n - 1) // (k - 1), lam=1))
     res = Resolution(design=design, classes=classes)
     _check_resolution(res)
     return res
@@ -264,27 +286,21 @@ def _check_resolution(res: Resolution) -> None:
 
 
 def _pg32_days():
-    """The schoolgirl solution: partition the 35 lines of PG(3,2) into 7 spreads."""
-    pts = list(range(1, 16))
-    lines = sorted(set(tuple(sorted((a, b, a ^ b))) for a, b in combinations(pts, 2)))
-    spreads = []
+    """The schoolgirl solution: the 35 lines {a, b, a^b} of PG(3,2) in 7 spreads.
 
-    def grow(chosen, covered):
-        if len(covered) == 15:
-            spreads.append(tuple(chosen))
-            return
-        p = min(set(pts) - covered)
-        for i, ln in enumerate(lines):
-            if p in ln and not set(ln) & covered:
-                chosen.append(i)
-                grow(chosen, covered | set(ln))
-                chosen.pop()
+    Points 1..15 are the nonzero vectors of GF(2)^4.  The GF(2)-linear
+    collineation sigma sending bit j to (4, 7, 10, 1)[j] has order 7, and the
+    orbit of the one spread below under it partitions the lines.
+    """
+    def sigma(p):
+        return reduce(xor, (img for j, img in enumerate((4, 7, 10, 1)) if p >> j & 1))
 
-    grow([], set())
-    sol = exact_cover(len(lines), [sum(1 << i for i in sp) for sp in spreads])
-    if sol is None:  # cannot happen; kept as an honest guard
-        raise SearchExhaustedError("PG(3,2) spread partition not found")
-    return [sorted(lines[i] for i in spreads[s]) for s in sorted(sol)]
+    day = ((1, 2, 3), (4, 8, 12), (5, 10, 15), (6, 11, 13), (7, 9, 14))
+    days = []
+    for _ in range(7):
+        days.append(sorted(day))
+        day = [tuple(sorted(map(sigma, line))) for line in day]
+    return sorted(days)
 
 
 def _rotational_day_orbit(m, bs, cs, max_nodes):
@@ -381,9 +397,9 @@ def _tripled_days(u: int):
 def construct_kts(n: int) -> Resolution:
     """A verified Kirkman triple system KTS(n); exists iff n = 3 (mod 6).
 
-    n = 9 (mod 18) is tripled from KTS(n/3), n = 15 is the PG(3,2) spread
-    partition, and every other n (above 3) comes from one rotational starter
-    search over Z_{n/3}.  That search succeeds for every n <= 129, so every
+    n = 9 (mod 18) is tripled from KTS(n/3), n = 15 is a collineation orbit
+    of PG(3,2) spreads, and every other n (above 3) comes from one
+    rotational starter search over Z_{n/3}.  That search succeeds for every n <= 129, so every
     n = 3 (mod 6) up to 129 is built, and so is every n = 9 (mod 18) that
     triples down to one of them.  Any other n raises ParameterDomainError
     before a search row is built.
@@ -426,16 +442,8 @@ def construct_design_21_5_1() -> Design:
 
 
 def _pg2_points():
-    pts = []
-    for v in product(range(4), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        pivot = next(x for x in v if x)
-        inv = next(y for y in range(1, 4) if _GF4_MUL[pivot][y] == 1)
-        norm = tuple(_GF4_MUL[x][inv] for x in v)
-        if norm not in pts:
-            pts.append(norm)
-    return pts
+    """The vectors of GF(4)^3 whose first nonzero entry is 1, in product order."""
+    return [v for v in product(range(4), repeat=3) if next((x for x in v if x), 0) == 1]
 
 
 def _dot4(a, b):
@@ -449,39 +457,34 @@ def _dot4(a, b):
 # 1-factorizations
 
 
-def circle_factor(t2: int, i: int) -> list:
-    """Factor i of the circle method on Z_{t2-1} + infinity, points 1..t2.
+def _developed_factor(t2: int, starter, i: int) -> list:
+    """Factor i of a starter of Z_{t2-1} developed with infinity, on points 1..t2.
 
-    Edges in k order: {inf, i}, then {i-k, i+k} for k = 1 .. t2/2 - 1
-    (x in Z_{t2-1} is point x+1, infinity is point t2).
+    Edges in order: {inf, i}, then {a+i, b+i} for each starter pair {a, b}
+    in turn (x in Z_{t2-1} is point x+1, infinity is point t2).
     """
     m = t2 - 1
-    return [(i + 1, t2)] + [tuple(sorted(((i - k) % m + 1, (i + k) % m + 1)))
-                            for k in range(1, t2 // 2)]
+    return [(i + 1, t2)] + [tuple(sorted(((a + i) % m + 1, (b + i) % m + 1)))
+                            for a, b in starter]
+
+
+def circle_factor(t2: int, i: int) -> list:
+    """Factor i of the circle method: the starter {-k, k}, k = 1 .. t2/2 - 1, developed."""
+    return _developed_factor(t2, [(-k, k) for k in range(1, t2 // 2)], i)
+
+
+def _one_factorization(t2: int, factors) -> OneFactorization:
+    """The factors, each sorted, certified as a resolution of the 2-(t2, 2, 1) design."""
+    factors = tuple(tuple(sorted(fac)) for fac in factors)
+    _resolution_from_days(t2, factors)
+    return OneFactorization(order=t2, factors=factors)
 
 
 def construct_one_factorization(t2: int) -> OneFactorization:
     """Round-robin (circle method) 1-factorization of K_{t2} on points 1..t2."""
     if t2 % 2 != 0 or t2 < 4:
         raise ParameterDomainError(f"1-factorization needs even order >= 4, got {t2}")
-    factors = tuple(tuple(sorted(circle_factor(t2, i))) for i in range(t2 - 1))
-    of = OneFactorization(order=t2, factors=factors)
-    _check_one_factorization(of)
-    return of
-
-
-def _check_one_factorization(of: OneFactorization) -> None:
-    t2 = of.order
-    if len(of.factors) != t2 - 1:
-        raise CertificateError("wrong number of 1-factors")
-    all_edges = set()
-    for fac in of.factors:
-        pts = [v for e in fac for v in e]
-        if sorted(pts) != list(range(1, t2 + 1)):
-            raise CertificateError(f"factor {fac} is not a perfect matching")
-        all_edges.update(fac)
-    if len(all_edges) != comb(t2, 2):
-        raise CertificateError("factors do not partition the edge set")
+    return _one_factorization(t2, (circle_factor(t2, i) for i in range(t2 - 1)))
 
 
 def union_cycle_lengths(f1, f2, t2: int):
@@ -580,9 +583,10 @@ def c4_free_one_factorization(t2: int) -> OneFactorization:
     The circle method already qualifies unless 3 | t2-1 (the only C4 it ever
     produces is {inf, i, i+d, i+2d} with 3d = 0 mod t2-1).  At those orders
     the factors develop the starter of Z_{t2-1} that `_c4_free_starter`
-    finds, except K_10, a fixed table.  Declared for every even t2 in 6..46;
-    above that the search may pass its budget and raise SearchExhaustedError,
-    as it does at 58, 64 and 70.
+    finds, except K_10, a fixed table.  Declared for every even t2 >= 6 with
+    3 not dividing t2-1, and for the search orders up to 46; a search order
+    above 46 raises ParameterDomainError before any search (past 46 the
+    search passes its budget at 58, 64 and 70).
     """
     if t2 % 2 != 0 or t2 < 6:
         raise ParameterDomainError(
@@ -590,21 +594,18 @@ def c4_free_one_factorization(t2: int) -> OneFactorization:
             "(any two 1-factors of K_4 union into a 4-cycle)")
     m = t2 - 1
     if t2 == 10:
-        of = OneFactorization(order=t2, factors=_K10_FACTORS)
+        of = _one_factorization(t2, _K10_FACTORS)
     elif m % 3:
         of = construct_one_factorization(t2)
+    elif t2 > 46:
+        raise ParameterDomainError(
+            f"4-cycle-free 1-factorization of K_{t2} needs the starter search "
+            f"(3 | {m}), which is declared for orders <= 46")
     else:
         starter = _c4_free_starter(m)
         if starter is None:
             raise SearchExhaustedError(f"a complete search found no 4-cycle-free starter of Z_{m}")
-        factors = []
-        for i in range(m):
-            fac = [(i + 1, t2)]
-            for a, b in starter:
-                fac.append(tuple(sorted(((a + i) % m + 1, (b + i) % m + 1))))
-            factors.append(tuple(sorted(fac)))
-        of = OneFactorization(order=t2, factors=tuple(factors))
-    _check_one_factorization(of)
+        of = _one_factorization(t2, (_developed_factor(t2, starter, i) for i in range(m)))
     if c4_pair_count(of) != 0:
         raise CertificateError(f"the 1-factorization of K_{t2} has a C4 component")
     return of

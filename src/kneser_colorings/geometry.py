@@ -24,7 +24,7 @@ from math import comb
 
 from .achromatic import _map_pattern, _triangle_class
 from .colorings import Coloring, certify
-from .designs import construct_sts, triangle_packing
+from .designs import construct_sts, punctured_packing
 from .errors import ParameterDomainError, SearchExhaustedError, SizeCapError
 from .kneser import SubsetGraph, bit_indices
 
@@ -390,11 +390,7 @@ def _even_route(n, hull):
     # 3-edge star plus one.  Relabel so the star sits at h1 (hull edges h1h2,
     # h1hn and the diagonal h1h3) and the matching runs along alternating hull
     # edges after it.
-    v = n + 1
-    packing = construct_sts(v).blocks if n % 6 in (0, 2) else triangle_packing(v)
-    tris = [blk for blk in packing if v not in blk]
-    covered = {e for blk in tris for e in combinations(blk, 2)}
-    forest = [e for e in combinations(range(1, v), 2) if e not in covered]
+    tris, forest = punctured_packing(n)
     ends = [p for e in forest for p in e]
     hub = {p for p in ends if ends.count(p) == 3}  # the star's centre, if any
     star = [e for e in forest if hub & set(e)]
@@ -403,7 +399,7 @@ def _even_route(n, hull):
     place = dict(zip(order, (hull[:3] + hull[-1:] + hull[3:-1]) if star else hull))
     pattern = [tuple(combinations(blk, 2)) for blk in tris]
     pattern += ([tuple(star)] if star else []) + [(e,) for e in matching]
-    return _map_pattern(pattern, [place[p] for p in range(1, v)])
+    return _map_pattern(pattern, [place[p] for p in range(1, n + 1)])
 
 
 def dvnk_lower_coloring(ps: PointSet, k: int) -> Coloring:

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from kneser_colorings.achromatic import achromatic_coloring, grundy_relabel, max_degree_kn2
+from kneser_colorings.achromatic import achromatic_coloring, grundy_relabel
 from kneser_colorings.bounds import (b_chromatic_lower, floor_half_plus_sqrt,
                                      improved_psi_bound, max_colors_for_pairs)
 from kneser_colorings.colorings import Coloring, verify_coloring
@@ -89,7 +89,7 @@ def test_criterion_05_grundy_relabel():
     for n in (4, 5):
         c = grundy_relabel(achromatic_coloring(n))
         rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
-        delta_plus_1 = max_degree_kn2(n) + 1
+        delta_plus_1 = build_kneser(n, 2).regular_degree + 1
         if rep.grundy or "grundy" not in rep.witnesses or c.color_count <= delta_plus_1:
             failures.append((n, "expected reported failure with Delta+1 witness"))
     for n in range(6, 41):

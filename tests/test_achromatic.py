@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from kneser_colorings.achromatic import (K42_PATTERN, K52_PATTERN, achromatic_coloring,
-                                         grundy_relabel, max_degree_kn2)
+                                         grundy_relabel)
 from kneser_colorings.colorings import Coloring, check_condition_C, verify_coloring
 from kneser_colorings.errors import ParameterDomainError, ShapeError
 from kneser_colorings.kneser import build_kneser
@@ -122,7 +122,7 @@ def test_grundy_holds_on_residues_0_1_2(n):
 def test_grundy_fails_at_4_and_5_beyond_max_degree(n):
     """The relabeled optimum cannot be Grundy here: l exceeds Delta + 1."""
     c = grundy_relabel(achromatic_coloring(n))
-    assert c.color_count > max_degree_kn2(n) + 1
+    assert c.color_count > build_kneser(n, 2).regular_degree + 1
     rep = verify_coloring(Coloring(build_kneser(n, 2), c.classes), checks={"grundy"})
     assert not rep.grundy
     assert "grundy" in rep.witnesses

@@ -151,6 +151,12 @@ def test_c4free_design_ignores_seed():
     assert len(json.loads(outs[0].stdout)["factors"]) == 15
 
 
+def test_c4free_design_refuses_search_order_above_46():
+    r = run("design", "--type", "1f-c4free", "--order", "58")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+
+
 def test_export_formats():
     r = run("export", "--format", "dot", "--n", "4", "--k", "2")
     assert r.returncode == 0 and r.stdout.startswith('graph "K(4,2)"')

@@ -125,6 +125,17 @@ def test_kts_tripling_does_not_search(monkeypatch):
         assert len(construct_kts(n).classes) == (n - 1) // 2
 
 
+def test_kts15_is_a_collineation_orbit_without_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact cover run for KTS(15)")
+
+    monkeypatch.setattr(designs, "exact_cover", refuse)
+    construct_kts.cache_clear()
+    res = construct_kts(15)
+    assert len(res.classes) == 7
+    assert all(a ^ b == c for a, b, c in res.design.blocks)  # the lines of PG(3,2)
+
+
 def test_kts_search_budget_is_typed():
     with pytest.raises(SearchExhaustedError, match="budget of 10 ") as info:
         designs._rotational_kts_days(33, max_nodes=10)
@@ -233,6 +244,21 @@ def test_c4_free_search_budget_is_typed(monkeypatch):
                              "over its budget of 10") as info:
         c4_free_one_factorization(16)
     assert info.value.nodes == 11 and info.value.budget == 10
+
+
+@pytest.mark.parametrize("t2", [52, 58])
+def test_c4_free_search_orders_above_46_refused_before_search(monkeypatch, t2):
+    def refuse(m):
+        raise AssertionError("starter search run beyond its declared range")
+
+    monkeypatch.setattr(designs, "_c4_free_starter", refuse)
+    with pytest.raises(ParameterDomainError, match=f"K_{t2} needs the starter search"):
+        c4_free_one_factorization(t2)
+
+
+def test_c4_free_circle_order_above_46_still_builds():
+    of = c4_free_one_factorization(48)
+    assert len(of.factors) == 47 and c4_pair_count(of) == 0
 
 
 def test_c4_free_rejects_k4():

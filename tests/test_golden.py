@@ -1,0 +1,62 @@
+"""Pinned SHA-256 digests of CLI outputs, so a refactor of the constructions
+cannot change a byte of what they emit unnoticed.
+
+The digests are of the files `cli.main` writes with --out.  If a change is
+meant to alter one of these outputs, the new digest belongs in the same
+change, with the reason.
+"""
+import hashlib
+
+import pytest
+
+from kneser_colorings import cli
+
+GOLDEN = {
+    "design --type kts --n 15":
+        "42f1300a0f7ca0f76f8ab30f6a18c28ee5953c0790e8613f9121d9160642dd8b",
+    "design --type kts --n 21":
+        "bd600744822b8c94d01e07d68ec18f8bba0507bbb90507c287c3ff863dad9ab0",
+    "design --type kts --n 45":
+        "8c24c60f5511562d982040c6a332c970cd1961317deb287d9541ad57582c17dc",
+    "design --type kts --n 51":
+        "bfec3cc4b68155a59377ec0c4f58b51d0d563f156fde3c004083fba214022027",
+    "design --type kts --n 135":
+        "a67c6d6cd29361fb5a9ecb27a0add36502a14010b5a0f085625eb44261fff0f3",
+    "design --type 1f --order 10":
+        "c4dfdd3f25f8f4612822147db4dfc9c642bc234b4dc8c5c81c7edc783aab809f",
+    "design --type 1f --order 16":
+        "32e9c090d766b843314ce034a70b4baefba3e5e006c2310d08fcd5c2cdc9035a",
+    "design --type 1f-c4free --order 10":
+        "bb7a7a0df3cb1cd8a6e734b75519bf6cdb838ce95060594bc545baeb7fd8289c",
+    "design --type 1f-c4free --order 16":
+        "1af0e912d86624c356ea8ec4893d6582edbf7a28494fb7e49cc9f8cef5e3a795",
+    "design --type 1f-c4free --order 22":
+        "8b0d4373dcb382c90c5821d9063351415e056a7a0fb2df7bec8e84462c6b056a",
+    "design --type 1f-c4free --order 46":
+        "74db4120f3ac8db2f7825e2110c84daed89642b50c7bcd233c75a287a09a7c73",
+    "design --type 21-5-1":
+        "7a30247be6839b21a1e32dce99c7b927ef911f8775322bbf8f5feb3b8ad3bfee",
+    "construct --family kn2-psi-tight --n 20":
+        "5d4c387daa6518920ae0d536d810870532596a05c3be2b68cdfc51a2febe3bc8",
+    "construct --family kn2-achromatic --n 10":
+        "5a8b693a7482b00fa75d269db9d97d84e75a49768e7fc05cd1f659d41bcf5c53",
+    "construct --family kn2-achromatic --n 13":
+        "6c7a9737075b66ae40231ac8706087a7b1434ec54e28cf7866945ca67f07022d",
+    "construct --family kn2-achromatic --n 60":
+        "b1d87187f7ed4a6d16015442be8c5eeef9c8838c21b79fecd72c2be704b6ffc9",
+    "construct --family kn2-achromatic --n 62":
+        "984c7ed895edda580e1787fcc3a4a399606fa5747e8488d8d2dd7eab2d68898c",
+    "geom --op dv-coloring --layout convex --n 20":
+        "8c3385b3b8f5033d210489f97da08873fef24a7590b9b13e3791bed01484a557",
+    "geom --op dv-coloring --layout convex --n 22":
+        "ed9a284c8119f39fb14e30e3280e4a312316af2166c9e5a223fa0d9b9cf48394",
+    "bounds --n-max 60 --k-max 5":
+        "560e8346b8061a83c8a533a16bc0d5a60323795203294ec3a846096dfbeed100",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_cli_output_digest_is_pinned(command, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]

@@ -4,7 +4,8 @@ An import must be used in its own module; __init__.py is skipped, its
 imports are the package's re-exports.  A module-level name bound by a plain
 assignment, a def or a class must be read (as a name or an attribute)
 somewhere under src/ or tests/; dunder names such as __all__ are read by
-Python itself.
+Python itself.  One read by tests alone is code that only tests keep alive,
+so it must be part of the package's API: listed in kneser_colorings.__all__.
 """
 import ast
 from functools import cache
@@ -48,6 +49,11 @@ def _read_in_readers():
     return _read_names(ast.parse(p.read_text()) for p in READERS)
 
 
+@cache
+def _read_in_package():
+    return _read_names(ast.parse(p.read_text()) for p in PACKAGE.glob("*.py"))
+
+
 def _unread_assignments(tree, read):
     assigned = {}
     for node in tree.body:
@@ -63,6 +69,12 @@ def _unread_definitions(tree, read):
     return [(node.lineno, node.name) for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and node.name not in read]
+
+
+def _unexported_and_unread(tree, read, exported):
+    """Module-level names that `read` (the package's reads) misses and `exported` lacks."""
+    unread = _unread_assignments(tree, read) + _unread_definitions(tree, read)
+    return sorted((line, name) for line, name in unread if name not in exported)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -99,3 +111,16 @@ def test_detects_an_unread_definition():
     reader = ast.parse("import mod\nmod.main()\n")
     assert _unread_definitions(tree, _read_names([tree, reader])) == [
         (1, "helper"), (4, "poll"), (7, "Spare")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_name_read_only_by_tests_is_exported(path):
+    tree = ast.parse(path.read_text())
+    assert _unexported_and_unread(tree, _read_in_package(), set(kneser_colorings.__all__)) == []
+
+
+def test_detects_a_name_read_only_by_tests():
+    tree = ast.parse("def helper():\n    return 1\n\ndef api():\n    return 2\n\n"
+                     "SPARE = 3\nUSED = 4\n\ndef main():\n    return USED\n")
+    assert _unexported_and_unread(tree, _read_names([tree]), {"api", "main"}) == [
+        (1, "helper"), (7, "SPARE")]
