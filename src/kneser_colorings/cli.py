@@ -16,13 +16,14 @@ import sys
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
-from .colorings import _int_lists, check_condition_C, coloring_from_json, verify_coloring
+from .colorings import _int_lists, certify, check_condition_C, coloring_from_json, verify_coloring
 from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
 from .kneser import KneserGraph, MatchingGraph, build_kneser, kneser_order
 
 # the --graph name of each certificate's graph type
 _GRAPH_KINDS = {KneserGraph: "kneser", geometry.DisjointnessGraph: "dv", MatchingGraph: "matching"}
+EXPORT_CAP = 1500  # vertices; a DOT export lists up to V^2/2 edges
 
 
 def _add_common(p):
@@ -43,7 +44,8 @@ def parse_invocation(argv):
     c.add_argument("--n", type=int, help="n for the K(n,2) families")
     c.add_argument("--m", type=int, help="matching size for --family matching")
     c.add_argument("--grundy", action="store_true",
-                   help="apply the size-ordered Grundy relabeling (kn2-achromatic only)")
+                   help="apply the size-ordered Grundy relabeling and certify it "
+                        "(kn2-achromatic only; exit 1 where it is not Grundy)")
     _add_common(c)
 
     v = sub.add_parser("verify", help="verify a coloring certificate file")
@@ -115,7 +117,7 @@ def _cmd_construct(plan) -> int:
         if fam == "kn2-achromatic":
             coloring = achromatic.achromatic_coloring(plan.n)
             if plan.grundy:
-                coloring = achromatic.grundy_relabel(coloring)
+                coloring = certify(achromatic.grundy_relabel(coloring), {"grundy"})
         elif fam == "kn2-psi-lower":
             coloring = pseudo.psi_lower_coloring(plan.n)
         else:
@@ -252,6 +254,9 @@ def _cmd_geom(plan) -> int:
 
 
 def _cmd_export(plan) -> int:
+    if kneser_order(plan.n, plan.k) > EXPORT_CAP:  # refused before K(n,k) is built
+        raise ParameterDomainError(f"export is declared for K(n,k) with at most {EXPORT_CAP} "
+                                   f"vertices, K({plan.n},{plan.k}) has more")
     g = build_kneser(plan.n, plan.k)
     _emit(plan, g.to_dot() if plan.format == "dot" else g.vertices_json())
     return 0

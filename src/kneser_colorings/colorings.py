@@ -19,6 +19,7 @@ from .errors import CertificateError, CoverageError, ParameterDomainError
 from .kneser import KneserGraph, MatchingGraph, bit_indices, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
+BITSET_CAP = 447 * 200_000  # classes x vertices of matching_coloring(100000), the largest
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,23 @@ def _int_lists(x, what):
 
 
 def _covering(classes, order):
-    """classes, unless they have too few members to cover the graph's order vertices."""
+    """classes, unless they have too few members to cover the graph's order
+    vertices, or their bitsets (classes x vertices bits) would outgrow the
+    largest a declared constructor emits."""
     members = sum(map(len, classes))
     if order > members:
         raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
+    if len(classes) * order > BITSET_CAP:
+        raise ParameterDomainError(f"{len(classes)} classes on {order} vertices exceed the "
+                                   f"declared class-bitset footprint of {BITSET_CAP} bits")
     return classes
 
 
 def coloring_from_json(text: str) -> Coloring:
     """Decode a certificate and build its graph; a malformed one raises
     ParameterDomainError, and one whose classes cannot cover the graph
-    CoverageError before the graph (or its PointSet) is built."""
+    CoverageError, before the graph (or its PointSet) is built; so do more
+    than POINT_CAP points and a class-bitset footprint above BITSET_CAP."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc["classes"], list):
         raise ParameterDomainError("a certificate must be a JSON object with a list of classes")
@@ -74,8 +81,11 @@ def coloring_from_json(text: str) -> Coloring:
         return Coloring(MatchingGraph(m), classes)
     classes = tuple(_int_lists(cls, "each class") for cls in doc["classes"])
     if "points" in doc:
-        from .geometry import PointSet, build_dv  # geometry imports this module
+        from .geometry import POINT_CAP, PointSet, build_dv  # geometry imports this module
         points = _int_lists(doc["points"], "points")
+        if len(points) > POINT_CAP:
+            raise ParameterDomainError(f"a D_V certificate is declared for at most {POINT_CAP} "
+                                       f"points, got {len(points)}")
         if any(len(p) != 2 for p in points):
             raise ParameterDomainError("each point must be a pair of integer coordinates")
         classes = _covering(classes, comb(len(points), doc["k"]))
@@ -138,24 +148,18 @@ def _class_masks(g, coloring: Coloring):
 def _incomplete_pair(masks, unions, cls_of):
     """The least class pair (a, b), a < b, 1-based, with U_a & M_b == 0, or None.
 
-    Class b can miss U_a only if its leader (lowest vertex) lies outside U_a,
-    so the classes above a whose leaders are outside U_a are the only
-    candidates; they are tested in class order, which is not leader order.
-    Where they are not fewer than the classes above a (U_a sparse, as on a
-    matching), all of those are tested instead.
+    Class b can miss U_a only if its leader (lowest vertex) lies outside U_a.
+    `leaders` holds the leaders of the classes above a, so its bits outside
+    U_a are the only candidates; they are tested in class order, which is not
+    leader order.
     """
-    l = len(masks)
     leaders = 0
     for m in masks:
         leaders |= m & -m
-    for a in range(l - 1):
-        outside = leaders & ~unions[a]
-        if outside.bit_count() < l - a - 1:
-            candidates = sorted(cls_of[i] for i in bit_indices(outside))
-        else:
-            candidates = range(a + 1, l)
-        for b in candidates:
-            if b > a and not unions[a] & masks[b]:
+    for a in range(len(masks) - 1):
+        leaders ^= masks[a] & -masks[a]
+        for b in sorted(cls_of[i] for i in bit_indices(leaders & ~unions[a])):
+            if not unions[a] & masks[b]:
                 return a + 1, b + 1
     return None
 
@@ -171,12 +175,12 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
     M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs
     O(V*k) big-int operations plus, per class a, one for each vertex outside
-    U_a: completeness tests only the classes whose lowest vertex lies outside
-    U_a, or every class above a where those are not fewer (on a matching,
-    whose U_a is sparse, that is O(l^2)).  Witnesses are the first violation in
-    colex index order: the same-class adjacent pair least by (index u,
-    index v); the least class pair; the first vertex with its lowest missing
-    color (the proper witness if improper); the first class.
+    U_a: completeness tests only the classes above a whose lowest vertex lies
+    outside U_a (on a matching, whose U_a is sparse, that is O(l^2)).
+    Witnesses are the first violation in colex index order: the same-class
+    adjacent pair least by (index u, index v); the least class pair; the
+    first vertex with its lowest missing color (the proper witness if
+    improper); the first class.
     """
     checks = frozenset(checks)
     unknown = checks - ALL_CHECKS

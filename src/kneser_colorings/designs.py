@@ -11,9 +11,10 @@ one rotational starter search (so every n = 9 (mod 18) up to 387 is built;
 the rest is refused).  That search is the only exact cover left in the
 package, on columns it numbers itself: its 3m pair orbits, then its points
 (x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
-1-factorizations develop a starter of Z_{2t-1}: the circle method's, or,
-where that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), the
-4-cycle-free one found by one deterministic search; K_10 is a fixed table.
+1-factorizations develop a starter of Z_{2t-1}: the circle method's.  Where
+that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), K_{2t}
+for odd t is doubled from two copies of K_t, and only the orders 16, 28
+and 40 develop a 4-cycle-free starter found by one deterministic search.
 Every KTS and 1-factorization passes the same resolution check.
 """
 from __future__ import annotations
@@ -257,32 +258,18 @@ def _resolution_from_days(n: int, days) -> Resolution:
     """The verified resolvable 2-(n, k, 1) design whose parallel classes are days.
 
     k is read off the blocks and r = (n-1)/(k-1): KTS days (k = 3) and the
-    factors of a 1-factorization of K_n (k = 2) are certified alike.
+    factors of a 1-factorization of K_n (k = 2) are certified alike.  Once
+    the design passes, no block repeats and each point lies in r blocks, so
+    days that each partition the points are its r parallel classes.
     """
     blocks = tuple(sorted(blk for day in days for blk in day))
-    index = {blk: i for i, blk in enumerate(blocks)}
-    classes = tuple(tuple(sorted(index[blk] for blk in day)) for day in days)
     k = len(blocks[0])
     design = _checked(Design(n=n, blocks=blocks, k=k, r=(n - 1) // (k - 1), lam=1))
-    res = Resolution(design=design, classes=classes)
-    _check_resolution(res)
-    return res
-
-
-def _check_resolution(res: Resolution) -> None:
-    d = res.design
-    seen = set()
-    for cls in res.classes:
-        pts = []
-        for bi in cls:
-            if bi in seen:
-                raise CertificateError("resolution reuses a block")
-            seen.add(bi)
-            pts.extend(d.blocks[bi])
-        if sorted(pts) != list(range(1, d.n + 1)):
-            raise CertificateError("resolution class is not a partition of the points")
-    if len(seen) != d.b or len(res.classes) != d.r:
-        raise CertificateError("resolution does not partition the block set into r classes")
+    if any(sorted(p for blk in day for p in blk) != list(range(1, n + 1)) for day in days):
+        raise CertificateError("resolution class is not a partition of the points")
+    index = {blk: i for i, blk in enumerate(blocks)}
+    return Resolution(design=design,
+                      classes=tuple(tuple(sorted(index[blk] for blk in day)) for day in days))
 
 
 def _pg32_days():
@@ -430,27 +417,17 @@ _GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
 
 @cache
 def construct_design_21_5_1() -> Design:
-    """Points and lines of PG(2,4) over the 4-element field."""
-    pts = _pg2_points()
-    idx = {p: i + 1 for i, p in enumerate(pts)}
-    blocks = []
-    for line in pts:  # lines are also normalized triples; incidence <a,x> = 0
-        blk = tuple(sorted(idx[p] for p in pts if _dot4(line, p) == 0))
-        blocks.append(blk)
-    d = Design(n=21, blocks=tuple(sorted(blocks)), k=5, r=5, lam=1)
-    return _checked(d)
+    """Points and lines of PG(2,4) over the 4-element field.
 
-
-def _pg2_points():
-    """The vectors of GF(4)^3 whose first nonzero entry is 1, in product order."""
-    return [v for v in product(range(4), repeat=3) if next((x for x in v if x), 0) == 1]
-
-
-def _dot4(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        s ^= _GF4_MUL[x][y]
-    return s
+    Points are the vectors of GF(4)^3 whose first nonzero entry is 1, in
+    product order (point i+1 is pts[i]); lines are the same vectors, and
+    line a holds x iff <a, x> = 0.
+    """
+    pts = [v for v in product(range(4), repeat=3) if next((x for x in v if x), 0) == 1]
+    blocks = [tuple(i + 1 for i, p in enumerate(pts)
+                    if not reduce(xor, (_GF4_MUL[x][y] for x, y in zip(line, p))))
+              for line in pts]
+    return _checked(Design(n=21, blocks=tuple(sorted(blocks)), k=5, r=5, lam=1))
 
 
 # ---------------------------------------------------------------------------
@@ -480,44 +457,51 @@ def _one_factorization(t2: int, factors) -> OneFactorization:
     return OneFactorization(order=t2, factors=factors)
 
 
+ONE_FACTOR_ORDER_CAP = 600  # largest declared order: the design check counts t2^2/2 pairs
+
+
 def construct_one_factorization(t2: int) -> OneFactorization:
     """Round-robin (circle method) 1-factorization of K_{t2} on points 1..t2."""
-    if t2 % 2 != 0 or t2 < 4:
-        raise ParameterDomainError(f"1-factorization needs even order >= 4, got {t2}")
+    if t2 % 2 != 0 or not 4 <= t2 <= ONE_FACTOR_ORDER_CAP:
+        raise ParameterDomainError(
+            f"1-factorization needs even order in 4..{ONE_FACTOR_ORDER_CAP}, got {t2}")
     return _one_factorization(t2, (circle_factor(t2, i) for i in range(t2 - 1)))
 
 
-def union_cycle_lengths(f1, f2, t2: int):
-    """Component cycle lengths of the union of two disjoint perfect matchings."""
-    nxt = [{a: b for e in f for a, b in (e, e[::-1])} for f in (f1, f2)]
-    seen = set()
-    out = []
-    for v in range(1, t2 + 1):
-        ln, cur = 0, v
-        while cur not in seen:  # alternate f1, f2 edges around v's cycle
-            seen.add(cur)
-            cur = nxt[ln % 2][cur]
-            ln += 1
-        if ln:
-            out.append(ln)
-    return out
+def _doubled_factors(t2: int):
+    """The factors of K_{2n}, n = t2/2 odd, on Z_n x {0,1}, (x, s) labelled s*n + x + 1.
+
+    Factor i in Z_n is the vertical edge {(i,0), (i,1)} plus circle_factor(n+1, i)
+    less its infinity edge in both copies; cross factor k = 1..n-1 joins (x,0)
+    to (x+k,1).  This doubling (GA_{2n}) is 4-cycle-free for odd n.
+    """
+    n = t2 // 2
+    for i in range(n):
+        half = circle_factor(n + 1, i)[1:]
+        yield [(i + 1, n + i + 1)] + half + [(a + n, b + n) for a, b in half]
+    for k in range(1, n):
+        yield [(x + 1, n + (x + k) % n + 1) for x in range(n)]
 
 
 def c4_pair_count(of: OneFactorization) -> int:
-    return sum(1 for f1, f2 in combinations(of.factors, 2)
-               if 4 in union_cycle_lengths(f1, f2, of.order))
+    """The number of factor pairs whose union has a 4-cycle.
+
+    With p_f the partner map of factor f, q = p_j p_i walks two edges round
+    the union of F_i and F_j, so a 4-cycle is a point that q moves and q^2 fixes.
+    """
+    partners = []
+    for fac in of.factors:
+        p = [0] * (of.order + 1)
+        for a, b in fac:
+            p[a], p[b] = b, a
+        partners.append(p)
+    pts = range(1, of.order + 1)
+    return sum(any(q[q[v]] == v != q[v] for v in pts)
+               for q in ([pj[x] for x in pi] for pi, pj in combinations(partners, 2)))
 
 
-# Z_9 has no 4-cycle-free starter (the complete search finds none), so K_10 is
-# fixed: the first 4-cycle-free 1-factorization that backtracking factor by
-# factor, candidates in sorted order, reaches.
-_K10_FACTORS = (
-    ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)), ((1, 3), (2, 5), (4, 7), (6, 9), (8, 10)),
-    ((1, 4), (2, 6), (3, 8), (5, 10), (7, 9)), ((1, 5), (2, 4), (3, 9), (6, 8), (7, 10)),
-    ((1, 6), (2, 3), (4, 10), (5, 7), (8, 9)), ((1, 7), (2, 9), (3, 5), (4, 8), (6, 10)),
-    ((1, 8), (2, 10), (3, 7), (4, 6), (5, 9)), ((1, 9), (2, 8), (3, 10), (4, 5), (6, 7)),
-    ((1, 10), (2, 7), (3, 6), (4, 9), (5, 8)))
 C4F_BUDGET = 200_000  # nodes of the 4-cycle-free starter search
+C4F_ORDER_CAP = 202  # largest declared order: the C4 certificate grows as t2^3
 
 
 def _c4_free_starter(m: int):
@@ -580,27 +564,25 @@ def _c4_free_starter(m: int):
 def c4_free_one_factorization(t2: int) -> OneFactorization:
     """A 1-factorization of K_{t2} in which no two factors' union has a C4 component.
 
-    The circle method already qualifies unless 3 | t2-1 (the only C4 it ever
-    produces is {inf, i, i+d, i+2d} with 3d = 0 mod t2-1).  At those orders
-    the factors develop the starter of Z_{t2-1} that `_c4_free_starter`
-    finds, except K_10, a fixed table.  Declared for every even t2 >= 6 with
-    3 not dividing t2-1, and for the search orders up to 46; a search order
-    above 46 raises ParameterDomainError before any search (past 46 the
-    search passes its budget at 58, 64 and 70).
+    Three routes: the circle method unless 3 | t2-1 (the only C4 it ever
+    produces is {inf, i, i+d, i+2d} with 3d = 0 mod t2-1); else the doubling
+    for t2 = 2 (mod 4); else (16, 28, 40) the starter of Z_{t2-1} that
+    `_c4_free_starter` finds.  Declared for every even t2 in 6..C4F_ORDER_CAP
+    but the search orders above 40; those (52, 64, ...) and orders above the
+    cap raise ParameterDomainError before anything is built.
     """
-    if t2 % 2 != 0 or t2 < 6:
-        raise ParameterDomainError(
-            f"4-cycle-free 1-factorization needs even order >= 6, got {t2} "
-            "(any two 1-factors of K_4 union into a 4-cycle)")
+    if t2 % 2 != 0 or not 6 <= t2 <= C4F_ORDER_CAP:
+        raise ParameterDomainError(f"4-cycle-free 1-factorization is declared for even orders "
+                                   f"6..{C4F_ORDER_CAP} (K_4 has none), got {t2}")
     m = t2 - 1
-    if t2 == 10:
-        of = _one_factorization(t2, _K10_FACTORS)
-    elif m % 3:
+    if m % 3:
         of = construct_one_factorization(t2)
-    elif t2 > 46:
+    elif t2 % 4 == 2:
+        of = _one_factorization(t2, _doubled_factors(t2))
+    elif t2 > 40:
         raise ParameterDomainError(
             f"4-cycle-free 1-factorization of K_{t2} needs the starter search "
-            f"(3 | {m}), which is declared for orders <= 46")
+            f"(3 | {m}, 4 | {t2}), which is declared for orders <= 40")
     else:
         starter = _c4_free_starter(m)
         if starter is None:

@@ -67,3 +67,20 @@ def brute_dominating(classes, adjacent):
                    for v in cls):
             return False, c
     return True, None
+
+
+def union_cycle_lengths(f1, f2, t2):
+    """Component cycle lengths of the union of two disjoint perfect matchings,
+    by walking each cycle edge by edge."""
+    nxt = [{a: b for e in f for a, b in (e, e[::-1])} for f in (f1, f2)]
+    seen = set()
+    out = []
+    for v in range(1, t2 + 1):
+        ln, cur = 0, v
+        while cur not in seen:  # alternate f1, f2 edges around v's cycle
+            seen.add(cur)
+            cur = nxt[ln % 2][cur]
+            ln += 1
+        if ln:
+            out.append(ln)
+    return out

@@ -34,6 +34,19 @@ def test_grundy_flag_and_check(tmp_path):
     assert json.loads(r.stdout)["grundy"] is True
 
 
+@pytest.mark.parametrize("n, witness", [(9, "((1, 4), 8)"), (10, "((1, 7), 10)")])
+def test_grundy_flag_certifies_the_relabeling(tmp_path, n, witness):
+    # n = 3, 4, 5 (mod 6): the size-ordered relabeling is not Grundy, and
+    # construct says so instead of writing it
+    out = tmp_path / "g.json"
+    r = run("construct", "--family", "kn2-achromatic", "--n", str(n), "--grundy",
+            "--out", str(out))
+    assert r.returncode == 1 and not out.exists()
+    err = json.loads(r.stderr)
+    assert err["error"] == "CertificateError"
+    assert f"failed grundy: {{'grundy': {witness}}}" in err["message"]
+
+
 def test_tampered_coloring_exits_1(tmp_path):
     out = tmp_path / "c.json"
     run("construct", "--family", "kn2-achromatic", "--n", "8", "--out", str(out))
@@ -63,7 +76,11 @@ def test_domain_error_exits_2():
                  ("design", "--type", "sts", "--n", "20001"),
                  ("geom", "--op", "dvnk", "--n", "200", "--k", "3"),
                  ("construct", "--family", "matching", "--m", "3000000"),
-                 ("geom", "--op", "dv-coloring", "--n", "100", "--layout", "convex")):
+                 ("geom", "--op", "dv-coloring", "--n", "100", "--layout", "convex"),
+                 ("design", "--type", "1f", "--order", "20000"),
+                 ("design", "--type", "1f-c4free", "--order", "302"),
+                 ("export", "--format", "json", "--n", "60", "--k", "6"),
+                 ("export", "--format", "dot", "--n", "60", "--k", "2")):
         r = run(*args)
         assert r.returncode == 2, args
         assert json.loads(r.stderr)["error"] == "ParameterDomainError", args
@@ -152,7 +169,7 @@ def test_c4free_design_ignores_seed():
 
 
 def test_c4free_design_refuses_search_order_above_46():
-    r = run("design", "--type", "1f-c4free", "--order", "58")
+    r = run("design", "--type", "1f-c4free", "--order", "64")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "ParameterDomainError"
 
@@ -186,6 +203,37 @@ def test_geom_refuses_n_above_point_cap_before_any_point(monkeypatch, capsys):
         assert cli.main(["geom", "--op", "dv-coloring", "--n", "400", "--layout", layout]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterDomainError" and "got 400" in err["message"]
+
+
+def test_verify_refuses_a_dv_certificate_above_the_point_cap(monkeypatch, capsys, tmp_path):
+    from kneser_colorings import cli, geometry
+
+    def refuse(*args):
+        raise AssertionError("a PointSet was built above the point cap")
+
+    monkeypatch.setattr(geometry, "orientation", refuse)
+    n = 600
+    path = tmp_path / "dv600.json"
+    path.write_text(json.dumps({"points": [[x, x * x] for x in range(n)], "k": 2,
+                                "classes": [[list(p) for p in combinations(range(1, n + 1), 2)]]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterDomainError" and "got 600" in err["message"]
+
+
+def test_verify_refuses_a_certificate_above_the_bitset_footprint(monkeypatch, capsys, tmp_path):
+    from kneser_colorings import cli, colorings
+
+    def refuse(*args):
+        raise AssertionError("a graph was built for an oversized certificate")
+
+    monkeypatch.setattr(colorings, "build_kneser", refuse)
+    path = tmp_path / "k600.json"  # every vertex of K(600,2) its own class
+    path.write_text(json.dumps({"n": 600, "k": 2, "classes": [
+        [list(p)] for p in combinations(range(1, 601), 2)]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParameterDomainError" and "179700 classes" in err["message"]
 
 
 def test_geom_triangle_pairs_cap_exits_2():

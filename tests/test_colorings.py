@@ -6,9 +6,11 @@ import pytest
 
 from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring
 from kneser_colorings import pseudoachromatic
+from kneser_colorings import colorings
+from kneser_colorings.bounds import max_colors_for_pairs
 from kneser_colorings.colorings import (Coloring, certify, check_condition_C,
                                         coloring_from_json, verify_coloring)
-from kneser_colorings.errors import CertificateError, CoverageError
+from kneser_colorings.errors import CertificateError, CoverageError, ParameterDomainError
 from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achromatic_coloring,
                                        dvnk_lower_coloring, random_general_position)
 from kneser_colorings.kneser import KneserGraph, MatchingGraph, build_kneser
@@ -220,6 +222,27 @@ def test_json_round_trip_per_graph_kind(make):
     assert set(json.loads(c.to_json())) == set(c.graph.header()) | {"classes"}
     rep = verify_coloring(again, checks={"complete"})
     assert rep.complete and rep.color_count == c.color_count
+
+
+def test_bitset_cap_admits_the_largest_declared_certificates():
+    # matching_coloring(100000) sits exactly at the cap; the largest K(n,2)
+    # colorings decode well below it
+    assert max_colors_for_pairs(100_000) * 200_000 == colorings.BITSET_CAP
+    for c in (achromatic_coloring(121), pseudoachromatic.psi_lower_coloring(129)):
+        assert c.color_count * c.graph.vertex_count < colorings.BITSET_CAP
+        assert coloring_from_json(c.to_json()).classes == c.classes
+
+
+def test_bitset_cap_is_checked_before_the_graph_is_built(monkeypatch):
+    # K(5,2) with every vertex its own class: 10 classes x 10 vertices = 100 bits
+    text = json.dumps({"n": 5, "k": 2, "classes": [[[a, b]] for b in range(2, 6)
+                                                   for a in range(1, b)]})
+    monkeypatch.setattr(colorings, "BITSET_CAP", 100)
+    assert coloring_from_json(text).color_count == 10
+    monkeypatch.setattr(colorings, "BITSET_CAP", 99)
+    monkeypatch.setattr(colorings, "build_kneser", None)  # calling it would fail
+    with pytest.raises(ParameterDomainError, match="10 classes on 10 vertices"):
+        coloring_from_json(text)
 
 
 def test_histogram():

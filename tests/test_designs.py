@@ -7,12 +7,11 @@ from kneser_colorings import designs
 from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair_count,
                                       circle_factor, construct_design_21_5_1, construct_kts,
                                       construct_one_factorization, construct_sts,
-                                      find_parallel_class, triangle_packing,
-                                      union_cycle_lengths, verify_design)
+                                      find_parallel_class, triangle_packing, verify_design)
 from kneser_colorings.errors import (CertificateError, ParameterDomainError,
                                      SearchExhaustedError)
 
-from conftest import brute_pair_cover
+from conftest import brute_pair_cover, union_cycle_lengths
 
 
 def test_sts7_is_fano():
@@ -222,7 +221,7 @@ def test_c4_free_all_even_orders(t2):
 
 
 def test_z9_has_no_c4_free_starter():
-    # the complete search comes back empty, which is why K_10 is a fixed table
+    # the complete search comes back empty, which is why K_10 takes the doubling
     assert designs._c4_free_starter(9) is None
 
 
@@ -246,7 +245,7 @@ def test_c4_free_search_budget_is_typed(monkeypatch):
     assert info.value.nodes == 11 and info.value.budget == 10
 
 
-@pytest.mark.parametrize("t2", [52, 58])
+@pytest.mark.parametrize("t2", [52, 64])
 def test_c4_free_search_orders_above_46_refused_before_search(monkeypatch, t2):
     def refuse(m):
         raise AssertionError("starter search run beyond its declared range")
@@ -254,6 +253,88 @@ def test_c4_free_search_orders_above_46_refused_before_search(monkeypatch, t2):
     monkeypatch.setattr(designs, "_c4_free_starter", refuse)
     with pytest.raises(ParameterDomainError, match=f"K_{t2} needs the starter search"):
         c4_free_one_factorization(t2)
+
+
+def test_doubling_builds_every_order_2_mod_4_up_to_the_cap_without_search(monkeypatch):
+    def refuse(m):
+        raise AssertionError("starter search run at an order the doubling serves")
+
+    counts = {}
+
+    def recorded(of):
+        counts[of.order] = c4_pair_count(of)
+        return counts[of.order]
+
+    monkeypatch.setattr(designs, "_c4_free_starter", refuse)
+    monkeypatch.setattr(designs, "c4_pair_count", recorded)
+    c4_free_one_factorization.cache_clear()
+    orders = range(6, designs.C4F_ORDER_CAP + 1, 4)
+    assert {10, 22, 34, 46, 58, 70, designs.C4F_ORDER_CAP} <= set(orders)
+    for t2 in orders:
+        of = c4_free_one_factorization(t2)
+        assert len(of.factors) == t2 - 1
+    assert counts == {t2: 0 for t2 in orders}
+    c4_free_one_factorization.cache_clear()
+
+
+def test_doubled_factors_on_two_copies():
+    # K_10: five factors each a vertical edge plus a circle factor of K_6 in
+    # both copies, then four cross factors (x, 0) -- (x + k, 1)
+    factors = list(designs._doubled_factors(10))
+    assert factors[0] == [(1, 6), (2, 5), (3, 4), (7, 10), (8, 9)]
+    assert factors[5] == [(1, 7), (2, 8), (3, 9), (4, 10), (5, 6)]
+    assert len(factors) == 9
+
+
+def test_c4_free_search_orders_build_through_the_search(monkeypatch):
+    searched = []
+    starter = designs._c4_free_starter
+
+    def spy(m):
+        searched.append(m)
+        return starter(m)
+
+    monkeypatch.setattr(designs, "_c4_free_starter", spy)
+    c4_free_one_factorization.cache_clear()
+    for t2 in (16, 28, 40):
+        assert c4_pair_count(c4_free_one_factorization(t2)) == 0
+    assert searched == [15, 27, 39]
+    c4_free_one_factorization.cache_clear()
+
+
+@pytest.mark.parametrize("t2", [designs.C4F_ORDER_CAP + 2, 214])
+def test_c4_free_orders_above_the_cap_refused_before_building(monkeypatch, t2):
+    def refuse(*args):
+        raise AssertionError("a factor was built above the declared order")
+
+    monkeypatch.setattr(designs, "circle_factor", refuse)
+    with pytest.raises(ParameterDomainError, match=rf"6\.\.{designs.C4F_ORDER_CAP} .*, got {t2}"):
+        c4_free_one_factorization(t2)
+
+
+def test_one_factorization_above_the_cap_refused_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a factor was built above the declared order")
+
+    monkeypatch.setattr(designs, "circle_factor", refuse)
+    t2 = designs.ONE_FACTOR_ORDER_CAP + 2
+    with pytest.raises(ParameterDomainError, match=f"4..{t2 - 2}, got {t2}"):
+        construct_one_factorization(t2)
+
+
+def test_c4_pair_count_matches_cycle_walk():
+    # circle factorizations (a C4 pair exactly when 3 | t2 - 1) and the same
+    # factors with the points of half of them relabelled
+    for t2 in range(4, 31, 2):
+        factors = construct_one_factorization(t2).factors
+        shift = {v: v % t2 + 1 for v in range(1, t2 + 1)}
+        mixed = factors[: t2 // 2] + tuple(
+            tuple(tuple(sorted((shift[a], shift[b]))) for a, b in fac)
+            for fac in factors[t2 // 2:])
+        for facs in (factors, mixed):
+            walked = sum(1 for f1, f2 in combinations(facs, 2)
+                         if 4 in union_cycle_lengths(f1, f2, t2))
+            assert c4_pair_count(designs.OneFactorization(t2, facs)) == walked, t2
 
 
 def test_c4_free_circle_order_above_46_still_builds():
@@ -301,3 +382,13 @@ def test_verify_design_flags_tampering():
 
 def test_verify_design_passes_fano():
     assert verify_design(construct_sts(7)).passed
+
+
+def test_resolution_check_wants_each_day_a_partition():
+    # the six edges of K_4 pass as a 2-(4, 2, 1) design either way; only the
+    # first grouping is three perfect matchings
+    days = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    assert designs._resolution_from_days(4, days).classes == ((0, 5), (1, 4), (2, 3))
+    regrouped = [((1, 2), (1, 3)), ((2, 4), (3, 4)), ((1, 4), (2, 3))]
+    with pytest.raises(CertificateError, match="not a partition"):
+        designs._resolution_from_days(4, regrouped)
