@@ -131,11 +131,12 @@ def bounds_table(n_max: int, k_max: int) -> list:
     """
     if n_max > 60:
         raise ParameterDomainError("bounds table capped at n_max <= 60")
+    if n_max < 2 or k_max < 2:
+        raise ParameterDomainError(f"the bounds table needs n_max >= 2 and k_max >= 2, "
+                                   f"got n_max={n_max}, k_max={k_max}")
     rows = []
     for n in range(2, n_max + 1):
-        for k in range(2, k_max + 1):
-            if k != 2 and 2 * k > n:
-                continue
+        for k in range(2, min(k_max, max(2, n // 2)) + 1):
             notes = []
             chi = lovasz_chromatic(n, k) if 2 * k <= n + 1 else 1
             alpha_lo = alpha_hi = psi_lo = psi_hi = None

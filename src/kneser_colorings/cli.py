@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import sys
+from functools import cache
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
@@ -32,7 +33,9 @@ def _add_common(p):
                    help="seed for geom's random layouts (other commands ignore it)")
 
 
-def parse_invocation(argv):
+@cache
+def _parser():
+    """The argparse tree, built on the first call (not at import) and reused."""
     ap = argparse.ArgumentParser(prog="kneserc",
                                  description="Complete colorings of Kneser graphs: "
                                              "constructions, certificates, bounds, oracles.")
@@ -91,8 +94,11 @@ def parse_invocation(argv):
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--k", type=int, required=True)
     _add_common(e)
+    return ap
 
-    return ap.parse_args(argv)
+
+def parse_invocation(argv):
+    return _parser().parse_args(argv)
 
 
 def _emit(plan, text: str) -> None:
@@ -174,9 +180,9 @@ def _cmd_oracle(plan) -> int:
 
 
 def _design_doc(design: designs.Design, classes=None):
-    doc = {"n": design.n, "blocks": [list(b) for b in design.blocks]}
+    doc = {"n": design.n, "blocks": design.blocks}
     if classes is not None:
-        doc["classes"] = [list(c) for c in classes]
+        doc["classes"] = classes
     return doc
 
 
@@ -218,8 +224,7 @@ def _cmd_design(plan) -> int:
             of = designs.construct_one_factorization(plan.order)
         else:
             of = designs.c4_free_one_factorization(plan.order)
-        doc = {"order": of.order,
-               "factors": [[list(e) for e in fac] for fac in of.factors]}
+        doc = {"order": of.order, "factors": of.factors}
     _emit(plan, json.dumps(doc, sort_keys=True))
     return 0
 

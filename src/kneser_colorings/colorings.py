@@ -39,8 +39,7 @@ class Coloring:
         return hist
 
     def to_json(self) -> str:
-        classes = [list(map(_jsonable, cls)) for cls in self.classes]
-        return json.dumps({**self.graph.header(), "classes": classes}, sort_keys=True)
+        return json.dumps({**self.graph.header(), "classes": self.classes}, sort_keys=True)
 
 
 def _int_lists(x, what):

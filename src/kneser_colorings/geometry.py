@@ -235,7 +235,7 @@ class DisjointnessGraph(SubsetGraph):
         return f"D_V({self.n},{self.k})"
 
     def header(self) -> dict:
-        return {"points": [list(p) for p in self.ps.coords], "k": self.k}
+        return {"points": self.ps.coords, "k": self.k}
 
     def _adjacent(self, u, v) -> bool:
         if set(u) & set(v):

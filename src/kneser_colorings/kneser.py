@@ -14,10 +14,6 @@ from math import comb
 from .errors import ForeignVertexError, ParameterDomainError
 
 
-def colex_key(subset):
-    return tuple(reversed(subset))
-
-
 def bit_indices(bits: int):
     """Yield the positions of the set bits of a non-negative int, lowest first."""
     digits = bin(bits)[:1:-1]  # least significant digit first
@@ -72,7 +68,8 @@ class SubsetGraph(Graph):
         kneser_order(n, k)
         self.n = n
         self.k = k
-        self.vertices = tuple(sorted(combinations(range(1, n + 1), k), key=colex_key))
+        # the subsets of n..1 come out as reversed k-subsets in decreasing colex order
+        self.vertices = tuple(c[::-1] for c in combinations(range(n, 0, -1), k))[::-1]
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
     def index(self, v) -> int:
@@ -143,7 +140,7 @@ class KneserGraph(SubsetGraph):
 
     def vertices_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k,
-                           "vertices": [list(v) for v in self.vertices]})
+                           "vertices": self.vertices})
 
 
 @cache

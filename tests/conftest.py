@@ -9,6 +9,17 @@ def brute_kneser_edges(n, k):
     return [(u, v) for u, v in combinations(verts, 2) if not set(u) & set(v)]
 
 
+def colex_subsets(n, k):
+    """The k-subsets of [n] in colex order, by sorting on the reversed tuple."""
+    return sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+
+
+def as_lists(x):
+    """x with every tuple, at any depth, copied into a list: a reference
+    encoding that json.dumps of the tuples themselves must match byte for byte."""
+    return [as_lists(y) for y in x] if isinstance(x, (list, tuple)) else x
+
+
 def brute_pair_cover(blocks, n):
     """Multiplicity of every point pair across the given blocks."""
     cnt = {pq: 0 for pq in combinations(range(1, n + 1), 2)}

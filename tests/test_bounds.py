@@ -122,3 +122,16 @@ def test_csv_output():
 def test_table_cap():
     with pytest.raises(ParameterDomainError):
         bounds_table(61, 2)
+
+
+@pytest.mark.parametrize("n_max, k_max", [(1, 2), (-5, 2), (5, 1), (5, 0), (5, -3)])
+def test_table_refuses_ranges_below_two(n_max, k_max):
+    with pytest.raises(ParameterDomainError):
+        bounds_table(n_max, k_max)
+
+
+def test_oversized_k_max_adds_no_rows():
+    # k >= 3 rows need 2k <= n, so k_max beyond n_max // 2 changes nothing
+    assert bounds_table(4, 20_000_000) == bounds_table(4, 2)
+    assert bounds_table(60, 10**9) == bounds_table(60, 30)
+    assert max(r.k for r in bounds_table(60, 10**9)) == 30

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import as_lists
+
 CMD = [sys.executable, "-m", "kneser_colorings"]
 
 
@@ -105,6 +107,72 @@ def test_bounds_csv_rows():
     assert r.returncode == 0
     lines = r.stdout.strip().split("\n")
     assert len(lines) == 10  # header + 9 rows for n = 2..10
+
+
+@pytest.mark.parametrize("args", [("--n-max", "-5"), ("--n-max", "1"),
+                                  ("--n-max", "5", "--k-max", "0")])
+def test_bounds_refuses_ranges_below_two(args):
+    r = run("bounds", *args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+
+
+def test_bounds_oversized_k_max_is_the_table_to_n_max_over_2():
+    r = run("bounds", "--n-max", "4", "--k-max", "20000000")
+    assert r.returncode == 0
+    assert r.stdout == run("bounds", "--n-max", "4", "--k-max", "2").stdout
+    r = run("bounds", "--n-max", "60", "--k-max", "1000000000")
+    assert r.returncode == 0
+    assert r.stdout == run("bounds", "--n-max", "60", "--k-max", "30").stdout
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # the argparse tree is built once per process; each call in one process
+    # must behave as the same argv does in a fresh one
+    from kneser_colorings import cli
+
+    achromatic = ["construct", "--family", "kn2-achromatic"]
+    geom = ["geom", "--op", "dv-coloring", "--n", "9", "--layout", "random"]
+    argvs = [["construct", "--family", "bogus"], ["--help"],
+             achromatic + ["--n", "12", "--grundy"], achromatic + ["--n", "12"],
+             achromatic + ["--n", "9", "--grundy"], achromatic + ["--n", "9"],
+             geom + ["--seed", "3"], geom]
+    for i, argv in enumerate(argvs):
+        mine, fresh = tmp_path / f"in-{i}.json", tmp_path / f"fresh-{i}.json"
+        code = cli.main(argv + ["--out", str(mine)])
+        r = run(*argv, "--out", str(fresh))
+        assert code == r.returncode, argv
+        assert mine.exists() == fresh.exists(), argv
+        if mine.exists():
+            assert mine.read_bytes() == fresh.read_bytes(), argv
+    capsys.readouterr()
+    assert [cli.main(a + ["--out", str(tmp_path / "x.json")]) for a in argvs] == \
+        [2, 0, 0, 0, 1, 0, 0, 0]
+    seeded, unseeded = (tmp_path / "in-6.json").read_text(), (tmp_path / "in-7.json").read_text()
+    assert seeded != unseeded  # the seed reached the layout, and did not stick
+
+
+@pytest.mark.parametrize("argv", [("design", "--type", "kts", "--n", "15"),
+                                  ("design", "--type", "kts", "--n", "21"),
+                                  ("design", "--type", "1f", "--order", "16"),
+                                  ("design", "--type", "1f-c4free", "--order", "16"),
+                                  ("design", "--type", "1f-c4free", "--order", "22")])
+def test_design_documents_match_the_list_copy_encoding(tmp_path, argv):
+    from kneser_colorings import cli, designs
+
+    out = tmp_path / "d.json"
+    assert cli.main(list(argv) + ["--out", str(out)]) == 0
+    size = int(argv[-1])
+    if argv[2] == "kts":
+        res = designs.construct_kts(size)
+        doc = {"n": res.design.n, "blocks": as_lists(res.design.blocks),
+               "classes": as_lists(res.classes)}
+    else:
+        build = (designs.construct_one_factorization if argv[2] == "1f"
+                 else designs.c4_free_one_factorization)
+        of = build(size)
+        doc = {"order": of.order, "factors": as_lists(of.factors)}
+    assert out.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_oracle_json():

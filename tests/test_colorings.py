@@ -16,7 +16,7 @@ from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achr
 from kneser_colorings.kneser import KneserGraph, MatchingGraph, build_kneser
 from kneser_colorings.pseudoachromatic import _five_block_classes
 
-from conftest import (brute_complete, brute_dominating, brute_first_proper, brute_grundy,
+from conftest import (as_lists, brute_complete, brute_dominating, brute_first_proper, brute_grundy,
                       brute_proper)
 
 
@@ -222,6 +222,20 @@ def test_json_round_trip_per_graph_kind(make):
     assert set(json.loads(c.to_json())) == set(c.graph.header()) | {"classes"}
     rep = verify_coloring(again, checks={"complete"})
     assert rep.complete and rep.color_count == c.color_count
+
+
+_ENCODED = {**{f"K({n},2)": (lambda n=n: achromatic_coloring(n)) for n in range(58, 64)},
+            "D_V(12,2) convex": lambda: dv_achromatic_coloring(convex_position_points(12)),
+            "D_V(9,2) random": lambda: dv_achromatic_coloring(random_general_position(9, seed=3)),
+            "matching(50)": lambda: pseudoachromatic.matching_coloring(50)}
+
+
+@pytest.mark.parametrize("make", _ENCODED.values(), ids=_ENCODED.keys())
+def test_to_json_matches_the_list_copy_encoding(make):
+    # json.dumps writes tuples as arrays, so the classes go to it as they are
+    c = make()
+    header = {key: as_lists(val) for key, val in c.graph.header().items()}
+    assert c.to_json() == json.dumps({**header, "classes": as_lists(c.classes)}, sort_keys=True)
 
 
 def test_bitset_cap_admits_the_largest_declared_certificates():

@@ -6,7 +6,7 @@ import pytest
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
 from kneser_colorings.kneser import KneserGraph, build_kneser, lovasz_chromatic
 
-from conftest import brute_kneser_edges
+from conftest import brute_kneser_edges, colex_subsets
 
 
 def test_petersen_shape():
@@ -56,6 +56,14 @@ def test_colex_order_is_the_contract():
     g = build_kneser(5, 2)
     assert g.vertices[:6] == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
     assert g.index((3, 4)) == 5
+
+
+def test_vertices_are_built_in_colex_order():
+    for n in range(1, 12):
+        for k in range(1, n + 1):
+            g = KneserGraph(n, k)
+            assert list(g.vertices) == colex_subsets(n, k), (n, k)
+            assert [g.index(v) for v in g.vertices] == list(range(comb(n, k)))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
