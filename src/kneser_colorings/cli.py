@@ -263,7 +263,13 @@ def _cmd_export(plan) -> int:
         raise ParameterDomainError(f"export is declared for K(n,k) with at most {EXPORT_CAP} "
                                    f"vertices, K({plan.n},{plan.k}) has more")
     g = build_kneser(plan.n, plan.k)
-    _emit(plan, g.to_dot() if plan.format == "dot" else g.vertices_json())
+    if plan.format == "json":
+        _emit(plan, g.vertices_json())
+    elif plan.out:
+        with open(plan.out, "w") as fh:
+            fh.writelines(g.dot_lines())
+    else:
+        sys.stdout.writelines(g.dot_lines())
     return 0
 
 

@@ -128,15 +128,15 @@ class KneserGraph(SubsetGraph):
     def edge_count(self) -> int:
         return self.vertex_count * self.regular_degree // 2
 
-    def to_dot(self) -> str:
-        lines = [f'graph "K({self.n},{self.k})" {{']
+    def dot_lines(self):
+        """Yield the DOT document one newline-terminated line at a time."""
+        yield f'graph "K({self.n},{self.k})" {{\n'
         for i, v in enumerate(self.vertices):
             label = "{" + ",".join(map(str, v)) + "}"
-            lines.append(f'  v{i} [label="{label}"];')
+            yield f'  v{i} [label="{label}"];\n'
         for i, j in self.edges():
-            lines.append(f"  v{i} -- v{j};")
-        lines.append("}")
-        return "\n".join(lines)
+            yield f"  v{i} -- v{j};\n"
+        yield "}\n"
 
     def vertices_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k,

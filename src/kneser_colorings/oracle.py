@@ -5,9 +5,14 @@ is a toggle).  It walks target counts downward, so every reported value is
 both attained and refuted at value+1, and places vertices in one
 max-cardinality order (`_search_order`): each next vertex has the most
 neighbours already placed, so the constraints between placed vertices bite
-near the root.  Admissible prunes only: pair-count versus remaining-edge
-budget, open-class feasibility, and the singleton-degree argument (a
-singleton class must see every other class).  Gamma is the recursion
+near the root.  Each vertex tries a new class first, then the open classes
+by the class pairs they would newly make see each other, most first (ties
+to the lower index), so a complete coloring is usually met within a few
+hundred nodes; every branch is still tried before a level is refuted.
+Admissible prunes only: unseen pairs versus the edges with an endpoint
+still unplaced (a suffix sum over the static order), open-class
+feasibility, and the singleton-degree argument (a singleton class must see
+every other class).  Gamma is the recursion
 Gamma(G[S]) = 1 + max Gamma(G[S - I]) over the maximal independent sets I of
 G[S], Gamma(empty) = 0: class 1 of a Grundy coloring is a maximal independent
 set and the classes above it are a Grundy coloring of the rest, and
@@ -127,6 +132,12 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
         hi += 1
     hi = min(hi, V)
     order = _search_order(adj)
+    # erem[pos]: the edges with an endpoint in order[pos:], the budget left
+    # for unseen class pairs once order[:pos] is placed
+    erem, placed = [E], 0
+    for v in order:
+        erem.append(erem[-1] - (adj[v] & placed).bit_count())
+        placed |= 1 << v
     nodes = 0
 
     def feasible(l):
@@ -138,46 +149,46 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
             # adjacent to all l-1 other classes
             return False
         classes = [0] * l
-        seen = [0] * l
-        assigned = 0
+        seen = [0] * l  # seen[c]: bitmask of the classes c already sees
 
-        def rec(pos, used, unseen, erem):
-            nonlocal nodes, assigned
+        def rec(pos, used, unseen):
+            nonlocal nodes
             nodes += 1
             if unseen == 0 and used == l:
                 return True
-            if pos == V or used + (V - pos) < l or unseen > erem:
+            if pos == V or used + (V - pos) < l or unseen > erem[pos]:
                 return False
             v = order[pos]
             av = adj[v]
-            for c in range(min(used + 1, l)):
-                if proper and classes[c] & av:
-                    continue
-                newly = []
-                for c2 in range(l):
-                    if c2 != c and classes[c2] & av and not (seen[c] >> c2) & 1:
-                        newly.append(c2)
+            touch = 0  # the open classes v has a neighbour in
+            for c in range(used):
+                if classes[c] & av:
+                    touch |= 1 << c
+            # a new class first, then the open classes by newly seen pairs
+            ranked = sorted((-(touch & ~seen[c] & ~(1 << c)).bit_count(), c)
+                            for c in range(used) if not (proper and (touch >> c) & 1))
+            if used < l:
+                ranked.insert(0, (0, used))
+            for _, c in ranked:
+                new = touch & ~seen[c] & ~(1 << c)
                 classes[c] |= 1 << v
-                for c2 in newly:
-                    seen[c] |= 1 << c2
+                seen[c] |= new
+                for c2 in bit_indices(new):
                     seen[c2] |= 1 << c
-                e_used = (av & assigned).bit_count()
-                assigned |= 1 << v
-                if rec(pos + 1, max(used, c + 1), unseen - len(newly), erem - e_used):
+                if rec(pos + 1, max(used, c + 1), unseen - new.bit_count()):
                     return True
-                assigned &= ~(1 << v)
-                classes[c] &= ~(1 << v)
-                for c2 in newly:
-                    seen[c] &= ~(1 << c2)
-                    seen[c2] &= ~(1 << c)
+                classes[c] ^= 1 << v
+                seen[c] ^= new
+                for c2 in bit_indices(new):
+                    seen[c2] ^= 1 << c
             return False
 
-        return rec(0, 0, l * (l - 1) // 2, E)
+        return rec(0, 0, l * (l - 1) // 2)
 
     for l in range(hi, 0, -1):
         if feasible(l):
             return OracleResult(param, l, nodes, time.perf_counter() - t0)
-    return OracleResult(param, 1, nodes, time.perf_counter() - t0)
+    return OracleResult(param, 0, nodes, time.perf_counter() - t0)  # only the null graph gets here
 
 
 def exact_achromatic(g, cap: int = 16) -> OracleResult:

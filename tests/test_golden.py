@@ -54,6 +54,10 @@ GOLDEN = {
         "ed9a284c8119f39fb14e30e3280e4a312316af2166c9e5a223fa0d9b9cf48394",
     "bounds --n-max 60 --k-max 5":
         "560e8346b8061a83c8a533a16bc0d5a60323795203294ec3a846096dfbeed100",
+    "export --format dot --n 10 --k 2":
+        "9ba346693ab2ca9b07aab008567622364ee228d748fe48c13ac253bad22cdf31",
+    "export --format json --n 10 --k 2":
+        "94d2f5c9dad69d74f05175607afbf0ba68f5d2207c9d29a050f0b4bb94dcc34d",
 }
 
 
@@ -62,3 +66,10 @@ def test_cli_output_digest_is_pinned(command, tmp_path):
     out = tmp_path / "out"
     assert cli.main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_to_stdout_is_the_pinned_file(fmt, capsysbinary):
+    command = f"export --format {fmt} --n 10 --k 2"
+    assert cli.main(command.split()) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == GOLDEN[command]

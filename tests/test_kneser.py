@@ -112,7 +112,7 @@ def test_lovasz_formula():
 
 def test_exports():
     g = build_kneser(4, 2)
-    dot = g.to_dot()
+    dot = "".join(g.dot_lines())
     assert '"{1,2}"' in dot and "v0 -- " in dot or "v0 --" in dot
     assert dot.count("--") == 3
     import json
