@@ -4,19 +4,24 @@ A coloring is its host graph and its color classes (class i holds the
 vertices of color i+1); its certificate is the graph's header() plus the
 classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
-on bitsets: each class as a mask of vertex indices and the union of its
-members' neighbourhoods, so checking a coloring of K(n,k) takes O(V*k)
-big-int operations plus, per class a, one for each vertex outside the union
-U_a (at most 2n-3 on K(n,2)), and never enumerates the edges.
+on bitsets: one pass over the class members gives each class as a mask of
+vertex indices, and the graph's class_unions() gives the union of each
+class's neighbourhoods (on K(n,k) from the point stars, k ORs and one AND
+per member): no edge is listed, and no neighbourhood formed but that of
+the proper witness.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
 from math import comb
+from operator import and_, or_
 
 from .errors import CertificateError, CoverageError, ParameterDomainError
-from .kneser import KneserGraph, MatchingGraph, bit_indices, build_kneser, kneser_order
+from .kneser import KneserGraph, MatchingGraph, bit_indices, bitset, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
 BITSET_CAP = 447 * 200_000  # classes x vertices of matching_coloring(100000), the largest
@@ -33,21 +38,28 @@ class Coloring:
         return len(self.classes)
 
     def class_histogram(self) -> dict:
-        hist = {}
-        for cls in self.classes:
-            hist[len(cls)] = hist.get(len(cls), 0) + 1
-        return hist
+        return Counter(map(len, self.classes))
 
     def to_json(self) -> str:
         return json.dumps({**self.graph.header(), "classes": self.classes}, sort_keys=True)
 
 
-def _int_lists(x, what):
-    """A JSON list of lists of integers, as a tuple of tuples."""
-    if not (isinstance(x, list) and all(isinstance(row, list)
-                                        and all(type(v) is int for v in row) for row in x)):
-        raise ParameterDomainError(f"{what} must be a list of lists of integers")
-    return tuple(map(tuple, x))
+def _int_lists(x, what, depth=2):
+    """A JSON list of lists of integers (at depth 3, a list of such lists), as
+    tuples; the types of each level are checked in one pass at C speed."""
+    items = [x]
+    for level in range(depth + 1):
+        if not set(map(type, items)) <= ({int} if level == depth else {list}):
+            raise ParameterDomainError(f"{what} must be a list of lists of integers")
+        if level < depth:
+            items = list(chain.from_iterable(items))
+    return tuple(map(tuple, x)) if depth == 2 else tuple(tuple(map(tuple, row)) for row in x)
+
+
+def _field(doc, key):
+    if key not in doc:
+        raise ParameterDomainError(f"the certificate has no {key!r} field")
+    return doc[key]
 
 
 def _covering(classes, order):
@@ -69,7 +81,7 @@ def coloring_from_json(text: str) -> Coloring:
     CoverageError, before the graph (or its PointSet) is built; so do more
     than POINT_CAP points and a class-bitset footprint above BITSET_CAP."""
     doc = json.loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc["classes"], list):
+    if not isinstance(doc, dict) or not isinstance(_field(doc, "classes"), list):
         raise ParameterDomainError("a certificate must be a JSON object with a list of classes")
     for key in ("matching_size", "n", "k"):
         if key in doc and (type(doc[key]) is not int or doc[key] < 1):
@@ -78,7 +90,7 @@ def coloring_from_json(text: str) -> Coloring:
         m = doc["matching_size"]
         classes = _covering(_int_lists(doc["classes"], "classes"), 2 * m)
         return Coloring(MatchingGraph(m), classes)
-    classes = tuple(_int_lists(cls, "each class") for cls in doc["classes"])
+    classes = _int_lists(doc["classes"], "each class", depth=3)
     if "points" in doc:
         from .geometry import POINT_CAP, PointSet, build_dv  # geometry imports this module
         points = _int_lists(doc["points"], "points")
@@ -87,10 +99,12 @@ def coloring_from_json(text: str) -> Coloring:
                                        f"points, got {len(points)}")
         if any(len(p) != 2 for p in points):
             raise ParameterDomainError("each point must be a pair of integer coordinates")
-        classes = _covering(classes, comb(len(points), doc["k"]))
-        return Coloring(build_dv(PointSet(points), doc["k"]), classes)
-    classes = _covering(classes, kneser_order(doc["n"], doc["k"]))
-    return Coloring(build_kneser(doc["n"], doc["k"]), classes)
+        k = _field(doc, "k")
+        classes = _covering(classes, comb(len(points), k))
+        return Coloring(build_dv(PointSet(points), k), classes)
+    n, k = _field(doc, "n"), _field(doc, "k")
+    classes = _covering(classes, kneser_order(n, k))
+    return Coloring(build_kneser(n, k), classes)
 
 
 @dataclass
@@ -116,65 +130,38 @@ def _jsonable(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def _class_masks(g, coloring: Coloring):
-    """Class of each vertex index, and each class as a bitset of vertex indices.
-
-    Each mask is filled as a bytearray and converted once, so a class costs
-    its members plus the bytes of its mask, not a big-int OR per member.
-    """
-    cls_of = [None] * g.vertex_count
-    masks = []
-    for ci, cls in enumerate(coloring.classes):
-        if not cls:
-            raise CoverageError(f"class {ci + 1} is empty")
-        members = []
-        for v in cls:
-            i = g.index(v)
-            if cls_of[i] is not None:
-                raise CoverageError(f"vertex {v} appears in two classes")
-            cls_of[i] = ci
-            members.append(i)
-        row = bytearray(max(members) // 8 + 1)
-        for i in members:
-            row[i >> 3] |= 1 << (i & 7)
-        masks.append(int.from_bytes(row, "little"))
-    if None in cls_of:
-        missing = g.vertices[cls_of.index(None)]
-        raise CoverageError(f"classes do not cover vertices, first missing {missing}")
-    return cls_of, masks
-
-
 def _incomplete_pair(masks, unions, cls_of):
     """The least class pair (a, b), a < b, 1-based, with U_a & M_b == 0, or None.
 
     Class b can miss U_a only if its leader (lowest vertex) lies outside U_a.
     `leaders` holds the leaders of the classes above a, so its bits outside
-    U_a are the only candidates; they are tested in class order, which is not
-    leader order.
+    U_a are the only candidates; most classes have none, and the others'
+    are tested in class order, which is not leader order.
     """
     leaders = 0
     for m in masks:
         leaders |= m & -m
     for a in range(len(masks) - 1):
         leaders ^= masks[a] & -masks[a]
-        for b in sorted(cls_of[i] for i in bit_indices(leaders & ~unions[a])):
-            if not unions[a] & masks[b]:
-                return a + 1, b + 1
+        cand = leaders & ~unions[a]
+        if cand:
+            for b in sorted(cls_of[i] for i in bit_indices(cand)):
+                if not unions[a] & masks[b]:
+                    return a + 1, b + 1
     return None
 
 
 def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
     """Exhaustively verify the requested properties of a coloring on its graph.
 
-    Its graph g is any graph of the kneser.Graph protocol; neighbourhoods() are
-    streamed once (on K(n,k) each is computed from the point stars and
-    dropped when the next is read, so no adjacency list is held).  Per class
-    c, with mask M_c and U_c the union of its members' neighbourhoods:
+    One pass over the class members gives each vertex's class and each class
+    c as a mask M_c; the graph (any of the kneser.Graph protocol) gives U_c,
+    the union of the members' neighbourhoods, from class_unions().  Then
     proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
-    M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs
-    O(V*k) big-int operations plus, per class a, one for each vertex outside
-    U_a: completeness tests only the classes above a whose lowest vertex lies
+    M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs O(V*k)
+    big-int operations and forms no neighbourhood but the proper witness's;
+    completeness tests only the classes above a whose lowest vertex lies
     outside U_a (on a matching, whose U_a is sparse, that is O(l^2)).
     Witnesses are the first violation in colex index order: the same-class
     adjacent pair least by (index u, index v); the least class pair; the
@@ -186,20 +173,35 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     if unknown:
         raise ParameterDomainError(f"unknown checks {sorted(unknown)}")
     g = coloring.graph
-    cls_of, masks = _class_masks(g, coloring)
+    index = g.index
+    cls_of = [None] * g.vertex_count
+    masks = []
+    for ci, cls in enumerate(coloring.classes):
+        if not cls:
+            raise CoverageError(f"class {ci + 1} is empty")
+        members = []
+        for v in cls:
+            i = index(v)
+            if cls_of[i] is not None:
+                raise CoverageError(f"vertex {v} appears in two classes")
+            cls_of[i] = ci
+            members.append(i)
+        masks.append(bitset(members))
+    if None in cls_of:
+        missing = g.vertices[cls_of.index(None)]
+        raise CoverageError(f"classes do not cover vertices, first missing {missing}")
+    unions = g.class_unions(coloring.classes)
     l = coloring.color_count
     rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())
 
-    unions = [0] * l
+    # adjacency is symmetric, so the least vertex seen by its own class is
+    # the least i with a same-class neighbour: it starts the least pair
+    bad = reduce(or_, map(and_, masks, unions), 0)
     proper_witness = None
-    for i, nbrs in enumerate(g.neighbourhoods()):
-        ci = cls_of[i]
-        unions[ci] |= nbrs
-        # the least i with a same-class neighbour starts the least pair, and
-        # that neighbour is above i, or it would have been found first
-        if proper_witness is None and nbrs & masks[ci]:
-            j = next(bit_indices(nbrs & masks[ci]))
-            proper_witness = (g.vertices[i], g.vertices[j])
+    if bad:
+        i = next(bit_indices(bad))
+        mates = g.class_unions(((g.vertices[i],),))[0] & masks[cls_of[i]]
+        proper_witness = (g.vertices[i], g.vertices[next(bit_indices(mates))])
 
     if "proper" in checks:
         rep.proper = proper_witness is None

@@ -341,14 +341,17 @@ def triangle_pair_check(ps: PointSet) -> TrianglePairReport:
     checked = 0
     bad = []
     tris = list(combinations(range(1, n + 1), 3))
+    points = [(1 << x) | (1 << y) | (1 << z) for x, y, z in tris]
     tri_edges = [[g.index(e) for e in combinations(t, 2)] for t in tris]
     tri_mask = [sum(1 << e for e in es) for es in tri_edges]
-    for a in range(len(tris)):
+    # the edges disjoint from at least one edge of each triangle
+    missed = [disj[e] | disj[f] | disj[h] for e, f, h in tri_edges]
+    for a, (pa, da) in enumerate(zip(points, missed)):
         for b in range(a + 1, len(tris)):
-            if len(set(tris[a]) & set(tris[b])) > 1:
+            if (pa & points[b]).bit_count() > 1:
                 continue
             checked += 1
-            if not any(disj[e] & tri_mask[b] for e in tri_edges[a]):
+            if not da & tri_mask[b]:
                 bad.append((tris[a], tris[b]))
     return TrianglePairReport(pairs_checked=checked, counterexamples=bad)
 

@@ -7,9 +7,10 @@ MatchingGraph, the m-edge matching, is the third host graph of a coloring.
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .errors import ForeignVertexError, ParameterDomainError
 
@@ -21,6 +22,21 @@ def bit_indices(bits: int):
     while i >= 0:
         yield i
         i = digits.find("1", i + 1)
+
+
+def bitset(indices) -> int:
+    """The int with exactly the bits of a list of indices set: a few by
+    shifts, more filled as a bytearray up to the largest and converted once,
+    so O(len(indices) + max/8)."""
+    if len(indices) <= 8:
+        bits = 0
+        for i in indices:
+            bits |= 1 << i
+        return bits
+    row = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        row[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(row, "little")
 
 
 def kneser_order(n: int, k: int) -> int:
@@ -37,8 +53,10 @@ class Graph:
     ForeignVertexError) and neighbourhoods(), which yields each vertex's
     neighbour bitset in index order (bit j of entry i is set iff vertices i
     and j are adjacent).  adjacency_bitsets() and edges() derive from it.
-    A graph that hosts a coloring also has a `name` for messages and
-    header(), its fields in a certificate (colorings.coloring_from_json).
+    class_unions(classes) gives the union of each class's neighbourhoods: it is
+    all that verification reads, and K(n,k) and the matching override its
+    default.  A graph that hosts a coloring also has a `name` for messages
+    and header(), its fields in a certificate (colorings.coloring_from_json).
     """
 
     @property
@@ -48,6 +66,13 @@ class Graph:
     def adjacency_bitsets(self):
         """Per-vertex neighbour bitsets, as a new list (not cached)."""
         return list(self.neighbourhoods())
+
+    def class_unions(self, classes):
+        """Per class of vertex labels, the bitset of the vertices adjacent to a
+        member; this default ORs the members' rows of neighbourhoods(), the
+        reference that the overrides are tested against."""
+        rows = self.adjacency_bitsets()
+        return [reduce(or_, (rows[self.index(v)] for v in cls), 0) for cls in classes]
 
     def edges(self):
         """Yield index pairs (i, j), i < j, of adjacent vertices, in index order."""
@@ -87,11 +112,11 @@ class SubsetGraph(Graph):
     @cached_property
     def stars(self) -> tuple:
         """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
-        rows = [bytearray((self.vertex_count + 7) // 8) for _ in range(self.n + 1)]
+        members = [[] for _ in range(self.n + 1)]
         for i, v in enumerate(self.vertices):
             for x in v:
-                rows[x][i >> 3] |= 1 << (i & 7)
-        return tuple(int.from_bytes(row, "little") for row in rows)
+                members[x].append(i)
+        return tuple(map(bitset, members))
 
 
 class KneserGraph(SubsetGraph):
@@ -112,17 +137,25 @@ class KneserGraph(SubsetGraph):
         return not set(u) & set(v)
 
     def neighbourhoods(self):
-        """Yield the neighbour bitset of each vertex in index order.
+        """Yield the neighbour bitset of each vertex in index order, the union
+        of its one-member class; nothing is kept once the caller moves on."""
+        return self._unions((v,) for v in self.vertices)
 
-        N(v) = ALL & ~(stars[x1] | ... | stars[xk]): k big-int operations per
-        vertex, and nothing is kept once the caller moves on.
-        """
-        stars = self.stars
-        full = (1 << self.vertex_count) - 1
-        for v in self.vertices:
-            met = 0
-            for x in v:
-                met |= stars[x]
+    def class_unions(self, classes):
+        return list(self._unions(classes))
+
+    def _unions(self, classes):
+        """A vertex sees no member of a class iff it meets them all, so the
+        union is ALL less the AND over members v of stars[x1] | ... | stars[xk]:
+        k big-int ORs and one AND per member."""
+        stars, full = self.stars, (1 << self.vertex_count) - 1
+        for cls in classes:
+            met = full
+            for v in cls:
+                star = 0
+                for x in v:
+                    star |= stars[x]
+                met &= star
             yield full ^ met
 
     def edge_count(self) -> int:
@@ -172,10 +205,16 @@ class MatchingGraph(Graph):
             raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
         return v - 1
 
+    def _partner(self, i: int) -> int:
+        return i + self.m if i < self.m else i - self.m
+
     def neighbourhoods(self):
-        m = self.m
-        for i in range(2 * m):
-            yield 1 << (i + m if i < m else i - m)
+        for i in range(2 * self.m):
+            yield 1 << self._partner(i)
+
+    def class_unions(self, classes):
+        """Each class's partners, as one bitset per class."""
+        return [bitset([self._partner(v - 1) for v in cls]) for cls in classes]
 
 
 def lovasz_chromatic(n: int, k: int) -> int:

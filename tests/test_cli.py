@@ -388,6 +388,9 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     '{"n": 4, "k": 0, "classes": []}',
     '{"points": [[1], [2, 3]], "k": 1, "classes": []}',
     '{"points": [[0, 0, 1], [2, 3]], "k": 1, "classes": []}',
+    '{"n": 4, "k": 2}',
+    '{"k": 2, "classes": [[[1, 2]]]}',
+    '{"n": 4, "classes": [[[1, 2]]]}',
 ])
 def test_malformed_certificate_exits_2(tmp_path, doc):
     path = tmp_path / "bad.json"

@@ -8,12 +8,12 @@ from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring
 from kneser_colorings import pseudoachromatic
 from kneser_colorings import colorings
 from kneser_colorings.bounds import max_colors_for_pairs
-from kneser_colorings.colorings import (Coloring, certify, check_condition_C,
+from kneser_colorings.colorings import (ALL_CHECKS, Coloring, certify, check_condition_C,
                                         coloring_from_json, verify_coloring)
 from kneser_colorings.errors import CertificateError, CoverageError, ParameterDomainError
 from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achromatic_coloring,
                                        dvnk_lower_coloring, random_general_position)
-from kneser_colorings.kneser import KneserGraph, MatchingGraph, build_kneser
+from kneser_colorings.kneser import Graph, KneserGraph, MatchingGraph, build_kneser
 from kneser_colorings.pseudoachromatic import _five_block_classes
 
 from conftest import (as_lists, brute_complete, brute_dominating, brute_first_proper, brute_grundy,
@@ -297,9 +297,9 @@ def _dv_case():
     return g, g.adjacent_subsets
 
 
-def _matching_case():
-    g = MatchingGraph(6)
-    return g, lambda u, v: abs(u - v) == g.m
+def _matching_case(m=6):
+    g = MatchingGraph(m)
+    return g, lambda u, v: abs(u - v) == m
 
 
 _KERNEL_CASES = ([(f"K({n},2)", lambda n=n: _kneser_case(n, 2)) for n in range(4, 11)]
@@ -328,6 +328,76 @@ def test_verdicts_and_witnesses_match_brute_force(make):
         assert (rep.proper, rep.complete, rep.grundy, rep.dominating) == (
             proper, complete, grundy, dominating), classes
         assert rep.witnesses == {k: w for k, w in want.items() if w is not None}, classes
+
+
+_UNION_CASES = ([(f"K({n},2)", lambda n=n: _kneser_case(n, 2)) for n in range(5, 10)]
+                + [(f"K({n},3)", lambda n=n: _kneser_case(n, 3)) for n in range(7, 10)]
+                + [(f"matching({m})", lambda m=m: _matching_case(m)) for m in (5, 12)]
+                + [("D_V(8)", _dv_case)])
+
+
+@pytest.mark.parametrize("make", [m for _, m in _UNION_CASES],
+                         ids=[name for name, _ in _UNION_CASES])
+def test_class_unions_match_the_neighbourhood_stream(make, monkeypatch):
+    """Each graph's class_unions() equals the generic one, which ORs the
+    members' neighbourhoods() rows, and so does every verdict and witness of
+    a report; the random colorings fail each of the four checks."""
+    g, adjacent = make()
+    rng = random.Random(len(g.vertices) * 31 + len(g.name))
+    failed = set()
+    for mode in ("partition", "shuffled", "split") * 4:
+        classes = _random_classes(list(g.vertices), adjacent, rng, mode)
+        assert g.class_unions(classes) == Graph.class_unions(g, classes)
+        coloring = Coloring(g, classes)
+        rep = verify_coloring(coloring)
+        with monkeypatch.context() as generic:
+            generic.setattr(type(g), "class_unions", Graph.class_unions)
+            assert verify_coloring(coloring) == rep, classes
+        failed |= {check for check in ALL_CHECKS if getattr(rep, check) is False}
+    assert failed == ALL_CHECKS
+
+
+def test_kneser_and_matching_verification_never_stream_neighbourhoods(monkeypatch):
+    def no_stream(self):
+        raise AssertionError("verify_coloring streamed neighbourhoods()")
+
+    certified = [achromatic_coloring(9), pseudoachromatic.matching_coloring(40)]
+    monkeypatch.setattr(KneserGraph, "neighbourhoods", no_stream)
+    monkeypatch.setattr(MatchingGraph, "neighbourhoods", no_stream)
+    for c in certified:
+        rep = verify_coloring(c)
+        assert rep.proper and rep.complete
+    g = build_kneser(7, 3)  # improper, so the proper witness is formed too
+    rep = verify_coloring(Coloring(g, (g.vertices[:20], g.vertices[20:])))
+    assert rep.witnesses["proper"] == ((1, 2, 3), (4, 5, 6))
+    rep = verify_coloring(Coloring(MatchingGraph(3), ((1, 2, 4), (3, 5, 6))))
+    assert rep.witnesses["proper"] == (1, 4) and rep.complete
+
+
+@pytest.mark.parametrize("doc,missing", [
+    ({"n": 4, "k": 2}, "classes"),
+    ({"k": 2, "classes": []}, "n"),
+    ({"n": 4, "classes": []}, "k"),
+    ({"points": [[0, 0], [1, 1]], "classes": []}, "k"),
+])
+def test_certificate_without_a_field_names_it(doc, missing):
+    with pytest.raises(ParameterDomainError, match=f"the certificate has no '{missing}' field"):
+        coloring_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"n": 4, "k": 2, "classes": [[[1, 2]], 3]}', "each class"),
+    ('{"n": 4, "k": 2, "classes": [[[1, 2], 7]]}', "each class"),
+    ('{"n": 4, "k": 2, "classes": [[[1, true]]]}', "each class"),
+    ('{"n": 4, "k": 2, "classes": [[[1, "2"]]]}', "each class"),
+    ('{"matching_size": 2, "classes": [[1, 2], 3]}', "classes"),
+    ('{"matching_size": 2, "classes": [[1, 2], [3, 4.0]]}', "classes"),
+    ('{"points": [[0, 0], "xy"], "k": 2, "classes": []}', "points"),
+])
+def test_malformed_lists_keep_their_messages(doc, message):
+    with pytest.raises(ParameterDomainError) as err:
+        coloring_from_json(doc)
+    assert str(err.value) == f"{message} must be a list of lists of integers"
 
 
 def test_kneser_verification_never_scans_edges(monkeypatch):

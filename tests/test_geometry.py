@@ -179,6 +179,24 @@ def test_triangle_pairs_cap():
         triangle_pair_check(convex_position_points(17))
 
 
+@pytest.mark.parametrize("n", [5, 6, 9, 12])
+def test_triangle_pairs_checks_every_pair_not_sharing_an_edge(n):
+    """pairs_checked is C(T,2) less the C(n,2) C(n-2,2) pairs on a common edge."""
+    rep = triangle_pair_check(random_general_position(n, seed=n))
+    assert rep.pairs_checked == comb(comb(n, 3), 2) - comb(n, 2) * comb(n - 2, 2)
+    assert rep.passes
+
+
+def test_triangle_pairs_report_every_pair_without_disjoint_edges(monkeypatch):
+    # with no disjoint segments at all, each checked pair is a counterexample
+    monkeypatch.setattr(geometry.DisjointnessGraph, "adjacency_bitsets",
+                        lambda self: [0] * self.vertex_count)
+    rep = triangle_pair_check(convex_position_points(7))
+    tris = combinations(range(1, 8), 3)
+    want = [(s, t) for s, t in combinations(tris, 2) if len(set(s) & set(t)) <= 1]
+    assert rep.counterexamples == want and rep.pairs_checked == len(want)
+
+
 def test_triangle_pairs_skip_shared_edge():
     rep = triangle_pair_check(convex_position_points(4))
     # every pair of triangles on 4 points shares 2 points: nothing to check

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
-from kneser_colorings.kneser import KneserGraph, build_kneser, lovasz_chromatic
+from kneser_colorings.kneser import KneserGraph, bitset, build_kneser, lovasz_chromatic
 
 from conftest import brute_kneser_edges, colex_subsets
 
@@ -86,6 +86,22 @@ def test_edges_are_the_disjoint_pairs_in_index_order(n, k):
     bits = g.adjacency_bitsets()
     assert all((bits[i] >> j) & 1 and (bits[j] >> i) & 1 for i, j in want)
     assert sum(b.bit_count() for b in bits) == 2 * len(want)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (8, 2), (7, 3), (9, 4), (5, 1)])
+def test_stars_are_the_vertices_through_each_point(n, k):
+    """The bytearray rows agree with a direct scan of the vertices."""
+    g = KneserGraph(n, k)
+    want = [sum(1 << i for i, v in enumerate(g.vertices) if x in v) for x in range(n + 1)]
+    assert g.stars == tuple(want)
+
+
+@pytest.mark.parametrize("size", [0, 1, 9, 64, 1000])
+def test_bitset_sets_exactly_the_given_indices(size):
+    for count in (0, 1, 8, 9, size):
+        indices = list(range(0, size, max(1, size // max(count, 1))))[:count]
+        assert bitset(indices) == sum(1 << i for i in indices)
+        assert bitset(indices[::-1]) == bitset(indices)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
