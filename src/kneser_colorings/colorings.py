@@ -160,9 +160,9 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
     M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs O(V*k)
-    big-int operations and forms no neighbourhood but the proper witness's;
-    completeness tests only the classes above a whose lowest vertex lies
-    outside U_a (on a matching, whose U_a is sparse, that is O(l^2)).
+    big-int operations; only proper and grundy form a neighbourhood (the
+    proper witness's).  Completeness tests the classes above a whose lowest
+    vertex lies outside U_a (on a matching, whose U_a is sparse, O(l^2)).
     Witnesses are the first violation in colex index order: the same-class
     adjacent pair least by (index u, index v); the least class pair; the
     first vertex with its lowest missing color (the proper witness if
@@ -196,7 +196,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
 
     # adjacency is symmetric, so the least vertex seen by its own class is
     # the least i with a same-class neighbour: it starts the least pair
-    bad = reduce(or_, map(and_, masks, unions), 0)
+    bad = reduce(or_, map(and_, masks, unions), 0) if checks & {"proper", "grundy"} else 0
     proper_witness = None
     if bad:
         i = next(bit_indices(bad))

@@ -9,8 +9,8 @@ routes: n = 9 (mod 18) triples KTS(n/3), n = 15 is the orbit of one PG(3,2)
 spread under a collineation of order 7, and every other n up to 129 runs
 one rotational starter search (so every n = 9 (mod 18) up to 387 is built;
 the rest is refused).  That search is the only exact cover left in the
-package, on columns it numbers itself: its 3m pair orbits, then its points
-(x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
+package; each row is three of its 3m pair orbits (columns 0..3m-1) and
+three points (x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
 1-factorizations develop a starter of Z_{2t-1}: the circle method's.  Where
 that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), K_{2t}
 for odd t is doubled from two copies of K_t, and only the orders 16, 28
@@ -298,33 +298,32 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
     3m available orbits are columns 0..3m-1 (pure by level and difference,
     then mixed by level pair and difference); point p = level*m + x, the
     point (x, level), is column 3m + p.  col[i][j] is the orbit column of
-    the pair i < j, or None when that orbit is used up, and each row extends
-    an available pair (i, j) by a point k > j.  D comes back as triples of p.
-    Raises SearchExhaustedError once the search passes max_nodes nodes.
+    the pair i < j, or -1 if used up.  A triple i < j < k in three distinct
+    available orbits is the row (col[i][j], col[i][k], col[j][k], 3m+i, 3m+j,
+    3m+k); D is the triples taken.  Raises SearchExhaustedError past max_nodes.
     """
     used = {(0, 1): set(bs), (0, 2): set(cs), (1, 2): {(c - b) % m for b, c in zip(bs, cs)}}
     orbits = [(lev, lev, d) for lev in range(3) for d in range(1, (m + 1) // 2)]  # pure
     orbits += [(l1, l2, d) for (l1, l2), taken in used.items() for d in range(m) if d not in taken]
     orbit = {o: c for c, o in enumerate(orbits)}
     npts = 3 * m
-    col = [[None] * npts for _ in range(npts)]
+    col = [[-1] * npts for _ in range(npts)]
     for i in range(npts):
         l1, x1 = divmod(i, m)
         for j in range(i + 1, npts):
             l2, x2 = divmod(j, m)
             d = (x2 - x1) % m
-            col[i][j] = orbit.get((l1, l2, min(d, m - d) if l1 == l2 else d))
-    rows, tris = [], []
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            if col[i][j] is not None:
+            col[i][j] = orbit.get((l1, l2, min(d, m - d) if l1 == l2 else d), -1)
+    rows = []
+    for i, ci in enumerate(col):
+        for j, cj in enumerate(col[i + 1:], i + 1):
+            if (a := ci[j]) >= 0:
                 for k in range(j + 1, npts):
-                    orbs = {col[i][j], col[i][k], col[j][k]}
-                    if None not in orbs and len(orbs) == 3:
-                        rows.append(sum(1 << c for c in orbs) | (1 << i | 1 << j | 1 << k) << npts)
-                        tris.append((i, j, k))
+                    b, c = ci[k], cj[k]
+                    if b >= 0 and c >= 0 and a != b != c != a:
+                        rows.append((a, b, c, npts + i, npts + j, npts + k))
     sol = exact_cover(2 * npts, rows, max_nodes=max_nodes)
-    return None if sol is None else [tris[r] for r in sol]
+    return None if sol is None else [tuple(p - npts for p in rows[r][3:]) for r in sol]
 
 
 # Fixed-day starters (b_j), (c_j) for the orders m where the canonical

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+from kneser_colorings.bounds import alpha_upper_kn2, improved_psi_bound
+
 from conftest import as_lists
 
 CMD = [sys.executable, "-m", "kneser_colorings"]
@@ -307,6 +309,45 @@ def test_verify_refuses_a_certificate_above_the_bitset_footprint(monkeypatch, ca
 def test_geom_triangle_pairs_cap_exits_2():
     r = run("geom", "--op", "triangle-pairs", "--n", "60")
     assert r.returncode == 2 and json.loads(r.stderr)["error"] == "SizeCapError"
+
+
+# Certificates for values the bounds table leaves open.  psi(K(7,2)) = 11:
+# a complete 12-coloring of 21 vertices has a singleton class, whose vertex
+# (degree 10) cannot see 11 other classes.  alpha(K(7,3)) = psi(K(7,3)) = 11,
+# the improved psi bound.  Gamma(K(9,2)) = 15 = alpha(K(9,2)), as a Grundy
+# coloring is complete; its classes are listed in Grundy order.
+_PSI_K72 = {"n": 7, "k": 2, "classes": [
+    [[1, 4], [5, 7]], [[2, 5], [2, 7]], [[2, 4], [3, 4]], [[1, 2], [4, 5]], [[1, 3], [1, 7]],
+    [[1, 5], [6, 7]], [[3, 6], [4, 6]], [[3, 5]], [[5, 6], [4, 7]], [[2, 3], [1, 6]],
+    [[2, 6], [3, 7]]]}
+_ALPHA_K73 = {"n": 7, "k": 3, "classes": [
+    [[1, 2, 4], [2, 5, 6], [2, 3, 7], [1, 6, 7]], [[1, 3, 6], [3, 5, 6], [1, 5, 7], [4, 6, 7]],
+    [[1, 2, 3], [2, 4, 5], [1, 5, 6]], [[1, 2, 5], [3, 4, 5], [2, 4, 7]],
+    [[1, 2, 6], [2, 3, 6], [4, 5, 6]], [[1, 3, 4], [1, 2, 7], [1, 3, 7]],
+    [[1, 3, 5], [1, 4, 5], [5, 6, 7]], [[1, 4, 6], [4, 5, 7], [2, 6, 7]],
+    [[1, 4, 7], [2, 5, 7], [3, 6, 7]], [[2, 3, 4], [3, 4, 6], [3, 5, 7]],
+    [[2, 3, 5], [2, 4, 6], [3, 4, 7]]]}
+_GRUNDY_K92 = {"n": 9, "k": 2, "classes": [
+    [[2, 4], [2, 7], [4, 7]], [[1, 2], [1, 3], [2, 3]], [[2, 5], [2, 6], [5, 6]],
+    [[1, 4], [1, 9], [4, 9]], [[3, 4], [3, 5], [4, 5]], [[3, 6], [3, 7], [6, 7]],
+    [[5, 7], [5, 8], [7, 8]], [[1, 7], [7, 9]], [[1, 5], [5, 9]], [[6, 8], [6, 9], [8, 9]],
+    [[2, 8], [2, 9]], [[4, 6], [4, 8]], [[1, 8], [3, 8]], [[1, 6]], [[3, 9]]]}
+
+
+@pytest.mark.parametrize("doc, checks, value", [
+    (_PSI_K72, "complete", 11),
+    (_ALPHA_K73, "proper,complete", improved_psi_bound(7, 3)),
+    (_GRUNDY_K92, "proper,complete,grundy", alpha_upper_kn2(9)),
+], ids=["psi-K72", "alpha-K73", "grundy-K92"])
+def test_open_table_values_are_certified(doc, checks, value, tmp_path, capsys):
+    from kneser_colorings import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--coloring", str(path), "--checks", checks]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["color_count"] == value
+    assert all(rep[check] is True for check in checks.split(","))
 
 
 def test_verify_wrong_params_exits_2(tmp_path):

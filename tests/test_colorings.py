@@ -412,6 +412,29 @@ def test_kneser_verification_never_scans_edges(monkeypatch):
     assert not rep.proper and rep.complete
 
 
+def test_completeness_alone_forms_no_proper_witness(monkeypatch):
+    """{"complete"} makes one class_unions() call even on an improper
+    coloring; the one-vertex call that finds the proper witness is made
+    only when proper or grundy is asked for."""
+    calls = []
+    unions = KneserGraph.class_unions
+
+    def counted(self, classes):
+        calls.append(len(classes))
+        return unions(self, classes)
+
+    monkeypatch.setattr(KneserGraph, "class_unions", counted)
+    g = build_kneser(7, 3)
+    coloring = Coloring(g, (g.vertices[:20], g.vertices[20:]))
+    rep = verify_coloring(coloring, {"complete"})
+    assert rep.complete and rep.proper is None and calls == [2]
+    for checks in ({"proper"}, {"grundy"}):
+        calls.clear()
+        rep = verify_coloring(coloring, checks)
+        assert rep.witnesses == {check: ((1, 2, 3), (4, 5, 6)) for check in checks}
+        assert calls == [2, 1]
+
+
 def test_certify_returns_a_passing_coloring():
     c = Coloring(build_kneser(5, 2), K52_PATTERN)
     assert certify(c, {"proper", "complete"}, count=5) is c

@@ -155,6 +155,67 @@ def test_kts51_starter_search_order_is_pinned():
         designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=82)
 
 
+def test_kts21_starter_search_order_is_pinned():
+    """KTS(21)'s starter search, on the fixed-day starters for m = 7, takes
+    exactly 132 exact-cover nodes."""
+    starters = designs._ROTATIONAL_STARTERS[7]
+    assert designs._rotational_day_orbit(7, *starters, max_nodes=132)
+    with pytest.raises(SearchExhaustedError, match="132 nodes, over its budget of 131"):
+        designs._rotational_day_orbit(7, *starters, max_nodes=131)
+
+
+def _brute_rotational_rows(m, bs, cs):
+    """Every triple i < j < k of points l*m + x, the point (x, l) of Z_m x
+    {0,1,2}, whose three pairs lie in distinct translation orbits, none of
+    which holds a pair of a fixed-day starter {(0,0), (b,1), (c,2)}.  The 3m
+    such orbits are numbered pure before mixed, then by levels and by the
+    least difference x2 - x1 from a lower point (0, l1) to (x2, l2)."""
+    npts = 3 * m
+
+    def orbit(p, q):
+        return frozenset(frozenset((p - p % m + (p + t) % m, q - q % m + (q + t) % m))
+                         for t in range(m))
+
+    starter_pairs = {frozenset(e) for b, c in zip(bs, cs)
+                     for e in combinations((0, m + b, 2 * m + c), 2)}
+    available = [o for o in {orbit(p, q) for p, q in combinations(range(npts), 2)}
+                 if not o & starter_pairs]
+    assert len(available) == npts
+
+    def key(o):
+        l1, l2, d = min((min(e) // m, max(e) // m, max(e) % m) for e in o if min(e) % m == 0)
+        return l1 != l2, l1, l2, d
+
+    col = {e: c for c, o in enumerate(sorted(available, key=key)) for e in o}
+    rows = []
+    for i, j, k in combinations(range(npts), 3):
+        orbs = [col.get(frozenset(e)) for e in ((i, j), (i, k), (j, k))]
+        if None not in orbs and len(set(orbs)) == 3:
+            rows.append((*orbs, npts + i, npts + j, npts + k))
+    return rows
+
+
+@pytest.mark.parametrize("m", [7, 11, 13, 17])
+def test_rotational_rows_match_brute_force(m, monkeypatch):
+    """The exact-cover rows that KTS(3m)'s starter search builds, on the
+    starters _rotational_kts_days picks, are the brute-force rows in order."""
+    seen = {}
+    day_orbit, cover = designs._rotational_day_orbit, designs.exact_cover
+
+    def spy_day_orbit(m, bs, cs, max_nodes):
+        seen["starters"] = (bs, cs)
+        return day_orbit(m, bs, cs, max_nodes)
+
+    def spy_cover(ncols, rows, max_nodes=None):
+        seen["rows"] = rows
+        return cover(ncols, rows, max_nodes)
+
+    monkeypatch.setattr(designs, "_rotational_day_orbit", spy_day_orbit)
+    monkeypatch.setattr(designs, "exact_cover", spy_cover)
+    designs._rotational_kts_days(3 * m)
+    assert seen["rows"] == _brute_rotational_rows(m, *seen["starters"])
+
+
 def test_kts_beyond_declared_range_refused_before_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("rotational search run beyond its declared range")

@@ -5,7 +5,10 @@ The digests are of the files `cli.main` writes with --out.  If a change is
 meant to alter one of these outputs, the new digest belongs in the same
 change, with the reason.  The 1f-c4free digests at orders 10, 22 and 46 are
 those of the doubling over Z_{t2/2} x {0,1}, which replaced a fixed K_10
-table and the starter search at the orders t2 = 10 (mod 12).
+table and the starter search at the orders t2 = 10 (mod 12).  Every KTS
+order that the rotational starter search builds, 21 to 129, is pinned;
+construct_kts is cached, so in one session these reuse the builds of
+tests/test_designs.py.
 """
 import hashlib
 
@@ -18,10 +21,32 @@ GOLDEN = {
         "42f1300a0f7ca0f76f8ab30f6a18c28ee5953c0790e8613f9121d9160642dd8b",
     "design --type kts --n 21":
         "bd600744822b8c94d01e07d68ec18f8bba0507bbb90507c287c3ff863dad9ab0",
+    "design --type kts --n 33":
+        "d2b08118ff24168ebfb9206d091c8800bbd9d292e49bc8557eb06e2730d8bfb3",
+    "design --type kts --n 39":
+        "be31ce8ec5d9c76056dcce0d572425a1a19934469eda0929631c34813b167860",
     "design --type kts --n 45":
         "8c24c60f5511562d982040c6a332c970cd1961317deb287d9541ad57582c17dc",
     "design --type kts --n 51":
         "bfec3cc4b68155a59377ec0c4f58b51d0d563f156fde3c004083fba214022027",
+    "design --type kts --n 57":
+        "945ac97b667b102d552663ffc60dedbc9830645b3591949302abb1f07120db85",
+    "design --type kts --n 69":
+        "fcc53463b0c29e008695f9888db78d8f8acea53bf1e25ff964b276acd6aae6cc",
+    "design --type kts --n 75":
+        "1ba90142b8e87997f171e8deae929b1d8d0f688c429eadc4e964d69425c78984",
+    "design --type kts --n 87":
+        "41b9ffa7bd7675916e2ea9d4b5ad7772faffbf3706c1f7632d82d5ccfdfc6444",
+    "design --type kts --n 93":
+        "25bd9c271b76b890a3ca6c65557d2b7065cb5effa0a7b837b7f94fbc11995efe",
+    "design --type kts --n 105":
+        "dd1ebe0faf89963e4d6d151445f702af1c2efee2b7dc8c4ce86b25557601a26d",
+    "design --type kts --n 111":
+        "fe018497d215c5b828d262c4ecab3ee145e3aece6c84b0eeb761351388ff06ae",
+    "design --type kts --n 123":
+        "75ad487835a2c9aba393b516d456a49bb8569d2a0c68a8135c8390814fa85629",
+    "design --type kts --n 129":
+        "516e6a715eca39dfadb616bda57edef9c9696e23a25b8ff307d5e0bff02814bf",
     "design --type kts --n 135":
         "a67c6d6cd29361fb5a9ecb27a0add36502a14010b5a0f085625eb44261fff0f3",
     "design --type 1f --order 10":
