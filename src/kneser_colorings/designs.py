@@ -16,6 +16,14 @@ that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), K_{2t}
 for odd t is doubled from two copies of K_t, and only the orders 16, 28
 and 40 develop a 4-cycle-free starter found by one deterministic search.
 Every KTS and 1-factorization passes the same resolution check.
+
+The four constructors (construct_sts, construct_kts, construct_design_21_5_1,
+c4_free_one_factorization) keep what they build for the life of the
+process, unlike build_kneser's graphs, because the constructions in one
+process reuse them: in the achromatic sweep n = 2..121, 40 Steiner systems
+serve 117 requests (STS(57) serves n = 56, 58, 59 and 61, STS(61) serves
+n = 60 and 63), STS(21) serves both D_V routes (n = 20 and 21), and KTS(21)
+is tripled into KTS(63).  They hold 2.3 MB at the end of that sweep.
 """
 from __future__ import annotations
 

@@ -3,14 +3,19 @@
 Vertices are kept in colexicographic order; that order is part of the
 public contract (JSON exports and search traces index into it).
 MatchingGraph, the m-edge matching, is the third host graph of a coloring.
+build_kneser shares a graph only while some caller holds it: the memo keeps
+weak references, so a graph, its index and its point stars are freed with
+the last coloring that carries them, and a released graph is built again if
+it is asked for again.
 """
 from __future__ import annotations
 
 import json
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
+from weakref import WeakValueDictionary
 
 from .errors import ForeignVertexError, ParameterDomainError
 
@@ -176,14 +181,19 @@ class KneserGraph(SubsetGraph):
                            "vertices": self.vertices})
 
 
-@cache
+_graphs = WeakValueDictionary()  # (n, k) -> the K(n,k) some caller still holds
+
+
 def build_kneser(n: int, k: int) -> KneserGraph:
-    """Construct (and memoize) K(n,k).
+    """K(n,k): the graph already built while a caller still holds it, else a new one.
 
     The degenerate boundary cases K(3,2) and K(2,2) (edgeless graphs) are
     meaningful here, so the only requirement is 1 <= k <= n.
     """
-    return KneserGraph(n, k)
+    g = _graphs.get((n, k))
+    if g is None:
+        g = _graphs[n, k] = KneserGraph(n, k)
+    return g
 
 
 class MatchingGraph(Graph):

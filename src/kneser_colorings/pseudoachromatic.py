@@ -7,6 +7,8 @@ pairs; matchings get the closed-form optimal coloring.
 """
 from __future__ import annotations
 
+from math import comb
+
 from .achromatic import _pair
 from .bounds import max_colors_for_pairs, psi_lower_kn2
 from .colorings import Coloring, certify
@@ -123,13 +125,17 @@ def matching_coloring(m: int) -> Coloring:
 
 
 def kneser_matching_coloring(k: int) -> Coloring:
-    """matching_coloring transported onto K(2k,k), whose edges pair complements."""
+    """matching_coloring transported onto K(2k,k), whose edges pair complements.
+
+    Declared for 1 <= k <= 10: K(2k,k) has m = C(2k-1,k-1) edges, and
+    matching_coloring refuses m above its cap (k >= 11) before K(2k,k) is built.
+    """
     if k < 1:
         raise ParameterDomainError(f"needs k >= 1, got {k}")
+    m = comb(2 * k - 1, k - 1)
+    base = matching_coloring(m)
     g = build_kneser(2 * k, k)
     reps = [v for v in g.vertices if 1 in v]
-    m = len(reps)
-    base = matching_coloring(m)
     color = {}
     for ci, cls in enumerate(base.classes):
         for vlab in cls:

@@ -1,5 +1,7 @@
 """Shared brute-force helpers; these stay independent of the library code paths
 they are used to check."""
+import gc
+from contextlib import contextmanager
 from itertools import combinations
 
 
@@ -95,3 +97,24 @@ def union_cycle_lengths(f1, f2, t2):
         if ln:
             out.append(ln)
     return out
+
+
+@contextmanager
+def frees_what_it_makes(cls):
+    """Run the block with the cycle collector off, then assert that every
+    instance of cls still alive (by a scan of the collector's objects) was
+    alive before the block: whatever the block made was freed by reference
+    counting alone, so nothing, not even a cycle, pins it."""
+    def live():
+        return [o for o in gc.get_objects() if isinstance(o, cls)]
+
+    before = live()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        left = [o for o in live() if not any(o is b for b in before)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert not left, [o.name for o in left]

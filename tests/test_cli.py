@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from kneser_colorings.bounds import alpha_upper_kn2, improved_psi_bound
+from kneser_colorings.kneser import KneserGraph
 
-from conftest import as_lists
+from conftest import as_lists, frees_what_it_makes
 
 CMD = [sys.executable, "-m", "kneser_colorings"]
 
@@ -152,6 +153,19 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
         [2, 0, 0, 0, 1, 0, 0, 0]
     seeded, unseeded = (tmp_path / "in-6.json").read_text(), (tmp_path / "in-7.json").read_text()
     assert seeded != unseeded  # the seed reached the layout, and did not stick
+
+
+def test_in_process_calls_leave_no_graph_alive(tmp_path, capsys):
+    from kneser_colorings import cli
+
+    cert = tmp_path / "c.json"
+    with frees_what_it_makes(KneserGraph):
+        assert cli.main(["construct", "--family", "kn2-achromatic", "--n", "12", "--grundy",
+                         "--out", str(cert)]) == 0
+        assert cli.main(["verify", "--coloring", str(cert),
+                         "--checks", "proper,complete,grundy"]) == 0
+        assert cli.main(["oracle", "--param", "alpha", "--n", "6", "--k", "2"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [("design", "--type", "kts", "--n", "15"),

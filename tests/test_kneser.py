@@ -1,12 +1,17 @@
+import gc
+import weakref
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from kneser_colorings.achromatic import achromatic_coloring
+from kneser_colorings.colorings import coloring_from_json, verify_coloring
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
 from kneser_colorings.kneser import KneserGraph, bitset, build_kneser, lovasz_chromatic
+from kneser_colorings.pseudoachromatic import psi_lower_coloring
 
-from conftest import brute_kneser_edges, colex_subsets
+from conftest import brute_kneser_edges, colex_subsets, frees_what_it_makes
 
 
 def test_petersen_shape():
@@ -139,3 +144,41 @@ def test_exports():
 
 def test_graph_cache_returns_same_object():
     assert build_kneser(5, 2) is build_kneser(5, 2)
+
+
+def test_released_graph_is_freed_by_reference_counting():
+    # with the cycle collector off, only a reference cycle could keep it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = build_kneser(9, 4)
+        assert g.stars[1]  # the cached stars ride on the graph
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_held_graph_is_shared_by_every_call():
+    g = build_kneser(8, 3)
+    stars = g.stars
+    assert build_kneser(8, 3) is g
+    assert build_kneser(n=8, k=3) is g
+    assert build_kneser(8, k=3).stars is stars
+
+
+def test_sweeps_leave_no_graph_alive():
+    with frees_what_it_makes(KneserGraph):
+        for n in range(2, 122):
+            achromatic_coloring(n)
+        for n in range(7, 130):
+            psi_lower_coloring(n)
+
+
+def test_decoded_certificate_leaves_no_graph_alive():
+    with frees_what_it_makes(KneserGraph):
+        text = achromatic_coloring(11).to_json()
+        report = verify_coloring(coloring_from_json(text))
+        assert report.proper and report.complete

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -102,3 +105,37 @@ def test_kneser_matching_colorings(k, colors):
     assert c.color_count == colors
     rep = verify_coloring(Coloring(g, c.classes), checks={"proper", "complete"})
     assert rep.proper and rep.complete
+
+
+# SHA-256 of json.dumps(kneser_matching_coloring(k).classes), taken when
+# K(2k,k) was still built before the cap was checked
+TRANSPORTED = {
+    1: "5dcadf000fcf69ded463fec091d37cd78061d9015b527d104e0e5155341e60e3",
+    2: "bb01e85fb810d67ab521d25b83ede1cce46a031a11676c531fb14fc90e2b496d",
+    3: "948741a9575de203ee8374b4a78bda6b2f9e61a78ef0d042da5e5aa154416e46",
+    4: "929af9c24f8f98b023d1f40bec79e5de5635210e72de81f33396de897a86cc36",
+    5: "b3f13d6d033263b7201303ed3e8fc01c242eb4230c45f6c4249e2d41f23333bc",
+}
+
+
+@pytest.mark.parametrize("k", sorted(TRANSPORTED))
+def test_kneser_matching_classes_are_unchanged(k):
+    classes = kneser_matching_coloring(k).classes
+    assert hashlib.sha256(json.dumps(classes).encode()).hexdigest() == TRANSPORTED[k]
+
+
+@pytest.mark.parametrize("k", [11, 40])
+def test_kneser_matching_refuses_k_above_10_before_building(k, monkeypatch):
+    # K(22,11) alone has 705,432 vertices; the cap on m = C(2k-1,k-1) comes first
+    def refuse(*args):
+        raise AssertionError("K(2k,k) was built before the cap was checked")
+
+    monkeypatch.setattr(pseudoachromatic, "build_kneser", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomainError, match="m <= 100000"):
+            kneser_matching_coloring(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
