@@ -106,8 +106,12 @@ def _case4(n: int):
     return triangles + tail[:5] + paths + tail[5:]
 
 
-def achromatic_coloring(n: int) -> Coloring:
-    """A proper complete coloring of K(n,2) with alpha(K(n,2)) classes; 2 <= n <= 121."""
+def achromatic_coloring(n: int, grundy: bool = False) -> Coloring:
+    """A proper complete coloring of K(n,2) with alpha(K(n,2)) classes; 2 <= n <= 121.
+
+    With grundy=True the classes come grundy_relabel()ed and the one
+    self-check also certifies the Grundy property.
+    """
     if n < 2:
         raise ParameterDomainError(f"achromatic construction needs n >= 2, got {n}")
     if n > 121:
@@ -126,8 +130,12 @@ def achromatic_coloring(n: int) -> Coloring:
         classes = _case3(n)
     else:
         classes = _case4(n)
-    coloring = certify(Coloring(build_kneser(n, 2), tuple(classes)), {"proper", "complete"},
-                       count=alpha_upper_kn2(n))
+    coloring = Coloring(build_kneser(n, 2), tuple(classes))
+    checks = {"proper", "complete"}
+    if grundy:
+        coloring = grundy_relabel(coloring)
+        checks.add("grundy")
+    coloring = certify(coloring, checks, count=alpha_upper_kn2(n))
     if n != 3:  # K(3,2) is edgeless; its single class has no accounting to satisfy
         cc = check_condition_C(coloring)
         if not cc.passes:

@@ -17,7 +17,7 @@ from functools import cache
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
-from .colorings import _int_lists, certify, check_condition_C, coloring_from_json, verify_coloring
+from .colorings import _int_lists, _json_doc, check_condition_C, coloring_from_json, verify_coloring
 from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
 from .kneser import KneserGraph, MatchingGraph, build_kneser, kneser_order
@@ -121,9 +121,7 @@ def _cmd_construct(plan) -> int:
         if plan.n is None:
             raise ParameterDomainError(f"--family {fam} needs --n")
         if fam == "kn2-achromatic":
-            coloring = achromatic.achromatic_coloring(plan.n)
-            if plan.grundy:
-                coloring = certify(achromatic.grundy_relabel(coloring), {"grundy"})
+            coloring = achromatic.achromatic_coloring(plan.n, grundy=plan.grundy)
         elif fam == "kn2-psi-lower":
             coloring = pseudo.psi_lower_coloring(plan.n)
         else:
@@ -189,7 +187,7 @@ def _design_doc(design: designs.Design, classes=None):
 def _cmd_design(plan) -> int:
     if plan.check:
         with open(plan.check) as fh:
-            doc = json.load(fh)
+            doc = _json_doc(fh.read())
         if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 1:
             raise ParameterDomainError("a design must be a JSON object with an integer n >= 1")
         blocks = tuple(sorted(tuple(sorted(b)) for b in _int_lists(doc["blocks"], "blocks")))
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     try:
         return execute(plan)
     except (ParameterDomainError, SizeCapError, ShapeError, CoverageError, ForeignVertexError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

@@ -75,12 +75,21 @@ def _covering(classes, order):
     return classes
 
 
+def _json_doc(text: str):
+    """The decoded JSON document; one nested too deeply for the decoder's
+    recursion is refused as ParameterDomainError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParameterDomainError("the JSON document is nested too deeply to decode") from None
+
+
 def coloring_from_json(text: str) -> Coloring:
     """Decode a certificate and build its graph; a malformed one raises
     ParameterDomainError, and one whose classes cannot cover the graph
     CoverageError, before the graph (or its PointSet) is built; so do more
     than POINT_CAP points and a class-bitset footprint above BITSET_CAP."""
-    doc = json.loads(text)
+    doc = _json_doc(text)
     if not isinstance(doc, dict) or not isinstance(_field(doc, "classes"), list):
         raise ParameterDomainError("a certificate must be a JSON object with a list of classes")
     for key in ("matching_size", "n", "k"):

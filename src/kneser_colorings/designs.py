@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import combinations, product
+from math import comb
 from operator import xor
 
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
@@ -116,18 +117,22 @@ def verify_design(d: Design) -> DesignReport:
         if c != d.r:
             rep.replication_ok = False
             rep.failures.append(f"point {p} lies in {c} blocks, expected {d.r}")
-    paircnt = {}
+    # pair p < q of 1..n counted at its lexicographic rank, base[p] + q
+    n = d.n
+    base = [(p - 1) * (2 * n - p) // 2 - p - 1 for p in range(n + 1)]
+    paircnt = [0] * comb(n, 2)
     for blk in d.blocks:
-        for pq in combinations(sorted(blk), 2):
-            paircnt[pq] = paircnt.get(pq, 0) + 1
-    for pq in combinations(range(1, d.n + 1), 2):
-        c = paircnt.get(pq, 0)
-        if c != d.lam:
-            rep.pair_coverage_ok = False
-            rep.failures.append(f"pair {pq} covered {c} times, expected {d.lam}")
-            if len(rep.failures) > 40:
-                rep.failures.append("... (truncated)")
-                return rep
+        for p, q in combinations(sorted(blk), 2):
+            if 1 <= p < q <= n:
+                paircnt[base[p] + q] += 1
+    if paircnt.count(d.lam) != len(paircnt):
+        for pq, c in zip(combinations(range(1, n + 1), 2), paircnt):
+            if c != d.lam:
+                rep.pair_coverage_ok = False
+                rep.failures.append(f"pair {pq} covered {c} times, expected {d.lam}")
+                if len(rep.failures) > 40:
+                    rep.failures.append("... (truncated)")
+                    return rep
     if d.n * d.r != d.b * d.k:
         rep.equations_ok = False
         rep.failures.append(f"nr != bk: {d.n}*{d.r} != {d.b}*{d.k}")

@@ -116,12 +116,31 @@ class SubsetGraph(Graph):
 
     @cached_property
     def stars(self) -> tuple:
-        """stars[x] is the bitset of the vertices containing point x (stars[0] = 0)."""
-        members = [[] for _ in range(self.n + 1)]
-        for i, v in enumerate(self.vertices):
-            for x in v:
-                members[x].append(i)
-        return tuple(map(bitset, members))
+        """stars[x] is the bitset of the vertices containing point x (stars[0] = 0).
+
+        Built from the colex rank, rank(v) = sum_i C(v_i - 1, i), with no pass
+        over the vertices.  A k-set through x is A + {x} + B with A a j-subset
+        of [x-1] and B an m-subset of (x, n], m = k-1-j.  The ranks of A fill
+        0..C(x-1,j)-1 and x adds C(x-1,j+1), so
+            star(x) = sum_j (2^C(x-1,j) - 1) * (R[j+1,m](x) << C(x-1,j+1)),
+        where R[p,m](x) sums 2^(sum_t C(b_t - 1, p+t)) over the m-subsets B of
+        (x, n], R[p,0] = 1.  No two terms share a vertex, so nothing carries.
+        Walking x from n down, R gains the B whose least point is x:
+        R[p,m] += R[p+1,m-1] << C(x-1,p+1).  Only p + m = k is read, so tails[m]
+        holds R[k-m,m].  O(n*k) shifts and subtractions of V-bit ints.
+        """
+        n, k = self.n, self.k
+        tails = [1] + [0] * (k - 1)
+        stars = [0] * (n + 1)
+        for x in range(n, 0, -1):
+            star = 0
+            for j in range(k):
+                t = tails[k - 1 - j] << comb(x - 1, j + 1)
+                star += (t << comb(x - 1, j)) - t
+            stars[x] = star
+            for m in range(k - 1, 0, -1):
+                tails[m] += tails[m - 1] << comb(x - 1, k - m + 1)
+        return tuple(stars)
 
 
 class KneserGraph(SubsetGraph):

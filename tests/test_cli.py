@@ -39,6 +39,22 @@ def test_grundy_flag_and_check(tmp_path):
     assert json.loads(r.stdout)["grundy"] is True
 
 
+def test_grundy_flag_certifies_once(tmp_path, monkeypatch):
+    from kneser_colorings import cli, colorings
+
+    calls = []
+
+    def counted(coloring, checks=colorings.ALL_CHECKS, verify=colorings.verify_coloring):
+        calls.append(sorted(checks))
+        return verify(coloring, checks)
+
+    monkeypatch.setattr(colorings, "verify_coloring", counted)
+    out = tmp_path / "g.json"
+    assert cli.main(["construct", "--family", "kn2-achromatic", "--n", "12", "--grundy",
+                     "--out", str(out)]) == 0
+    assert calls == [["complete", "grundy", "proper"]]
+
+
 @pytest.mark.parametrize("n, witness", [(9, "((1, 4), 8)"), (10, "((1, 7), 10)")])
 def test_grundy_flag_certifies_the_relabeling(tmp_path, n, witness):
     # n = 3, 4, 5 (mod 6): the size-ordered relabeling is not Grundy, and
@@ -434,6 +450,22 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParameterDomainError"
 
 
+# a malformed document is JSON text, bytes that are not UTF-8, or None for a
+# directory where the file should be
+_MALFORMED_ERROR = {str: "ParameterDomainError", bytes: "UnicodeDecodeError",
+                    type(None): "IsADirectoryError"}
+
+
+def _malformed_file(path, doc):
+    if doc is None:
+        path.mkdir()
+    elif isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc)
+    return path
+
+
 @pytest.mark.parametrize("doc", [
     '{"classes": 5}',
     '[1, 2]',
@@ -446,13 +478,15 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     '{"n": 4, "k": 2}',
     '{"k": 2, "classes": [[[1, 2]]]}',
     '{"n": 4, "classes": [[[1, 2]]]}',
+    pytest.param("[" * 100_000, id="nested-1e5-deep"),
+    pytest.param(b'{"n": 4, "k": 2, "classes": [[[1, 2]]], "x": "\xff"}', id="not-utf-8"),
+    pytest.param(None, id="directory"),
 ])
 def test_malformed_certificate_exits_2(tmp_path, doc):
-    path = tmp_path / "bad.json"
-    path.write_text(doc)
+    path = _malformed_file(tmp_path / "bad.json", doc)
     r = run("verify", "--coloring", str(path))
     assert r.returncode == 2
-    assert json.loads(r.stderr)["error"] == "ParameterDomainError"
+    assert json.loads(r.stderr)["error"] == _MALFORMED_ERROR[type(doc)]
 
 
 def test_condition_c_on_matching_exits_2(tmp_path):
@@ -490,14 +524,25 @@ def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
     '{"n": 0, "blocks": [[1, 2, 3]]}',
     '{"n": 6, "blocks": [[]]}',
     '{"n": 1, "blocks": [[1]]}',
+    pytest.param("[" * 100_000, id="nested-1e5-deep"),
+    pytest.param(b'{"n": 3, "blocks": [[1, 2, 3]], "x": "\xff"}', id="not-utf-8"),
+    pytest.param(None, id="directory"),
 ])
 def test_design_check_malformed_exits_2(tmp_path, capsys, doc):
     from kneser_colorings import cli
 
-    path = tmp_path / "design.json"
-    path.write_text(doc)
+    path = _malformed_file(tmp_path / "design.json", doc)
     assert cli.main(["design", "--check", str(path)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ParameterDomainError"
+    assert json.loads(capsys.readouterr().err)["error"] == _MALFORMED_ERROR[type(doc)]
+
+
+def test_out_directory_exits_2(tmp_path, capsys):
+    from kneser_colorings import cli
+
+    for args in (("construct", "--family", "matching", "--m", "3"),
+                 ("export", "--format", "dot", "--n", "5", "--k", "2")):
+        assert cli.main([*args, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
 
 def test_verify_refuses_uncoverable_graph_before_building(tmp_path, monkeypatch, capsys):

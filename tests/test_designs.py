@@ -445,6 +445,35 @@ def test_verify_design_passes_fano():
     assert verify_design(construct_sts(7)).passed
 
 
+def test_verify_design_reports_a_repeated_block():
+    blocks = construct_sts(7).blocks
+    rep = verify_design(Design(n=7, blocks=tuple(sorted(blocks + (blocks[2],))), k=3, r=3,
+                               lam=1))
+    assert rep.as_dict() == {
+        "params": [7, 8, 3, 3, 1], "block_sizes_ok": True, "replication_ok": False,
+        "pair_coverage_ok": False, "equations_ok": False, "passed": False,
+        "failures": ["point 1 lies in 4 blocks, expected 3",
+                     "point 6 lies in 4 blocks, expected 3",
+                     "point 7 lies in 4 blocks, expected 3",
+                     "pair (1, 6) covered 2 times, expected 1",
+                     "pair (1, 7) covered 2 times, expected 1",
+                     "pair (6, 7) covered 2 times, expected 1",
+                     "nr != bk: 7*3 != 8*3"]}
+
+
+def test_verify_design_reports_a_foreign_point():
+    # (1, 2, 4) becomes (1, 2, 9): its pairs through 9 count nowhere
+    blocks = ((1, 2, 9),) + construct_sts(7).blocks[1:]
+    rep = verify_design(Design(n=7, blocks=blocks, k=3, r=3, lam=1))
+    assert rep.as_dict() == {
+        "params": [7, 7, 3, 3, 1], "block_sizes_ok": False, "replication_ok": False,
+        "pair_coverage_ok": False, "equations_ok": True, "passed": False,
+        "failures": ["block (1, 2, 9) uses foreign point 9",
+                     "point 4 lies in 2 blocks, expected 3",
+                     "pair (1, 4) covered 0 times, expected 1",
+                     "pair (2, 4) covered 0 times, expected 1"]}
+
+
 def test_resolution_check_wants_each_day_a_partition():
     # the six edges of K_4 pass as a 2-(4, 2, 1) design either way; only the
     # first grouping is three perfect matchings

@@ -8,6 +8,7 @@ import pytest
 from kneser_colorings.achromatic import achromatic_coloring
 from kneser_colorings.colorings import coloring_from_json, verify_coloring
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
+from kneser_colorings.geometry import build_dv, random_general_position
 from kneser_colorings.kneser import KneserGraph, bitset, build_kneser, lovasz_chromatic
 from kneser_colorings.pseudoachromatic import psi_lower_coloring
 
@@ -93,12 +94,26 @@ def test_edges_are_the_disjoint_pairs_in_index_order(n, k):
     assert sum(b.bit_count() for b in bits) == 2 * len(want)
 
 
-@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (8, 2), (7, 3), (9, 4), (5, 1)])
+def _scanned_stars(g):
+    """The point stars by a pass over every vertex: the reference."""
+    members = [[] for _ in range(g.n + 1)]
+    for i, v in enumerate(g.vertices):
+        for x in v:
+            members[x].append(i)
+    return tuple(map(bitset, members))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 17) for k in range(1, n + 1)]
+                         + [(20, 10)])
 def test_stars_are_the_vertices_through_each_point(n, k):
-    """The bytearray rows agree with a direct scan of the vertices."""
+    """The stars built from the colex rank agree with a scan of the vertices."""
     g = KneserGraph(n, k)
-    want = [sum(1 << i for i, v in enumerate(g.vertices) if x in v) for x in range(n + 1)]
-    assert g.stars == tuple(want)
+    assert g.stars == _scanned_stars(g)
+
+
+def test_dv_stars_are_the_vertices_through_each_point():
+    g = build_dv(random_general_position(12, seed=1), 2)
+    assert g.stars == _scanned_stars(g)
 
 
 @pytest.mark.parametrize("size", [0, 1, 9, 64, 1000])
