@@ -92,7 +92,9 @@ def verify_design(d: Design) -> DesignReport:
     """Audit the three design axioms and the two parameter equations.
 
     A point in no block is reported alone, before the per-point and per-pair
-    audits, so a document's n costs no more than its blocks do.
+    audits, so a document's n costs no more than its blocks do.  The pairs
+    are counted in a flat list by pair rank when there are no more pairs of
+    1..n than block pairs, and in a dict of the block pairs otherwise.
     """
     rep = DesignReport(params=d.params())
     for blk in d.blocks:
@@ -117,22 +119,35 @@ def verify_design(d: Design) -> DesignReport:
         if c != d.r:
             rep.replication_ok = False
             rep.failures.append(f"point {p} lies in {c} blocks, expected {d.r}")
-    # pair p < q of 1..n counted at its lexicographic rank, base[p] + q
-    n = d.n
-    base = [(p - 1) * (2 * n - p) // 2 - p - 1 for p in range(n + 1)]
-    paircnt = [0] * comb(n, 2)
-    for blk in d.blocks:
-        for p, q in combinations(sorted(blk), 2):
-            if 1 <= p < q <= n:
-                paircnt[base[p] + q] += 1
-    if paircnt.count(d.lam) != len(paircnt):
-        for pq, c in zip(combinations(range(1, n + 1), 2), paircnt):
-            if c != d.lam:
-                rep.pair_coverage_ok = False
-                rep.failures.append(f"pair {pq} covered {c} times, expected {d.lam}")
-                if len(rep.failures) > 40:
-                    rep.failures.append("... (truncated)")
-                    return rep
+    n, lam = d.n, d.lam
+    if comb(n, 2) <= sum(comb(len(blk), 2) for blk in d.blocks):
+        # pair p < q of 1..n counted at its lexicographic rank, base[p] + q
+        base = [(p - 1) * (2 * n - p) // 2 - p - 1 for p in range(n + 1)]
+        paircnt = [0] * comb(n, 2)
+        for blk in d.blocks:
+            for p, q in combinations(sorted(blk), 2):
+                if 1 <= p < q <= n:
+                    paircnt[base[p] + q] += 1
+        bad = (() if paircnt.count(lam) == len(paircnt) else
+               ((pq, c) for pq, c in zip(combinations(range(1, n + 1), 2), paircnt) if c != lam))
+    else:
+        # fewer block pairs than pairs of 1..n: a sparse count stays as small
+        # as the blocks; with lam != 0 every uncounted pair fails, so the walk
+        # reaches its 41st failure within len(paircnt) + 41 steps
+        paircnt = {}
+        for blk in d.blocks:
+            for pq in combinations(sorted(blk), 2):
+                paircnt[pq] = paircnt.get(pq, 0) + 1
+        bad = (sorted((pq, c) for pq, c in paircnt.items() if 1 <= pq[0] < pq[1] <= n)
+               if lam == 0 else
+               ((pq, c) for pq in combinations(range(1, n + 1), 2)
+                if (c := paircnt.get(pq, 0)) != lam))
+    for pq, c in bad:
+        rep.pair_coverage_ok = False
+        rep.failures.append(f"pair {pq} covered {c} times, expected {lam}")
+        if len(rep.failures) > 40:
+            rep.failures.append("... (truncated)")
+            return rep
     if d.n * d.r != d.b * d.k:
         rep.equations_ok = False
         rep.failures.append(f"nr != bk: {d.n}*{d.r} != {d.b}*{d.k}")

@@ -250,6 +250,28 @@ def test_design_construct_and_check(tmp_path):
     assert json.loads(r.stdout)["failures"] == ["point 4 lies in no block"]
 
 
+def test_design_check_pair_table_stays_as_small_as_the_blocks(tmp_path, capsys):
+    # 50,000 disjoint pairs on 100,000 points (r = 1, lam = 0): a table of
+    # all C(100000, 2) pairs would be a 5e9-entry list
+    import tracemalloc
+
+    from kneser_colorings import cli
+
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"n": 100_000,
+                                "blocks": [[p, p + 1] for p in range(1, 100_000, 2)]}))
+    tracemalloc.start()
+    try:
+        assert cli.main(["design", "--check", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures == [f"pair ({p}, {p + 1}) covered 1 times, expected 0"
+                        for p in range(1, 82, 2)] + ["... (truncated)"]
+
+
 def test_design_kts_and_factorizations():
     r = run("design", "--type", "kts", "--n", "9")
     assert r.returncode == 0

@@ -474,6 +474,22 @@ def test_verify_design_reports_a_foreign_point():
                      "pair (2, 4) covered 0 times, expected 1"]}
 
 
+def test_verify_design_walks_sparse_pairs_in_order():
+    # four disjoint blocks on 12 points: 12 block pairs against C(12, 2) = 66,
+    # so the pairs are counted sparsely; lam = 1 fails every uncounted pair,
+    # lam = 0 every counted one
+    blocks = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
+    rep = verify_design(Design(n=12, blocks=blocks, k=3, r=1, lam=1))
+    uncovered = [pq for pq in combinations(range(1, 13), 2)
+                 if not any(set(pq) <= set(blk) for blk in blocks)]
+    assert rep.failures == ([f"pair {pq} covered 0 times, expected 1" for pq in uncovered[:41]]
+                            + ["... (truncated)"])
+    rep = verify_design(Design(n=12, blocks=blocks, k=3, r=1, lam=0))
+    assert rep.failures == [f"pair {pq} covered 1 times, expected 0"
+                            for blk in blocks for pq in combinations(blk, 2)] + [
+                            "r(k-1) != lambda(n-1)"]
+
+
 def test_resolution_check_wants_each_day_a_partition():
     # the six edges of K_4 pass as a 2-(4, 2, 1) design either way; only the
     # first grouping is three perfect matchings
