@@ -5,9 +5,9 @@ from .bounds import (alpha_upper_kn2, b_chromatic_lower, bounds_table,
                      improved_psi_bound, odd_graph_psi_lower, psi_upper_general,
                      psi_upper_kn2)
 from .colorings import Coloring, check_condition_C, coloring_from_json, verify_coloring
-from .designs import (Design, OneFactorization, Resolution, c4_free_one_factorization,
-                      construct_design_21_5_1, construct_kts, construct_one_factorization,
-                      construct_sts, find_parallel_class, verify_design)
+from .designs import (Design, Resolution, c4_free_one_factorization, construct_design_21_5_1,
+                      construct_kts, construct_one_factorization, construct_sts,
+                      find_parallel_class, verify_design)
 from .geometry import (PointSet, build_dv, convex_position_points, dv_achromatic_coloring,
                        dvnk_lower_coloring, random_general_position, thrackle_max_edges,
                        triangle_pair_check)
@@ -24,9 +24,9 @@ __all__ = [
     "alpha_upper_kn2", "b_chromatic_lower", "bounds_table", "improved_psi_bound",
     "odd_graph_psi_lower", "psi_upper_general", "psi_upper_kn2",
     "Coloring", "check_condition_C", "coloring_from_json", "verify_coloring",
-    "Design", "OneFactorization", "Resolution", "c4_free_one_factorization",
-    "construct_design_21_5_1", "construct_kts", "construct_one_factorization",
-    "construct_sts", "find_parallel_class", "verify_design",
+    "Design", "Resolution", "c4_free_one_factorization", "construct_design_21_5_1",
+    "construct_kts", "construct_one_factorization", "construct_sts",
+    "find_parallel_class", "verify_design",
     "PointSet", "build_dv", "convex_position_points", "dv_achromatic_coloring",
     "dvnk_lower_coloring", "random_general_position", "thrackle_max_edges",
     "triangle_pair_check",

@@ -17,7 +17,8 @@ from functools import cache
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
-from .colorings import _int_lists, _json_doc, check_condition_C, coloring_from_json, verify_coloring
+from .colorings import (_field, _int_lists, _json_doc, check_condition_C, coloring_from_json,
+                        verify_coloring)
 from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
                      SearchExhaustedError, ShapeError, SizeCapError)
 from .kneser import KneserGraph, MatchingGraph, build_kneser, kneser_order
@@ -190,7 +191,8 @@ def _cmd_design(plan) -> int:
             doc = _json_doc(fh.read())
         if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 1:
             raise ParameterDomainError("a design must be a JSON object with an integer n >= 1")
-        blocks = tuple(sorted(tuple(sorted(b)) for b in _int_lists(doc["blocks"], "blocks")))
+        blocks = _int_lists(_field(doc, "blocks"), "blocks")
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         if not blocks or min(map(len, blocks)) < 2:
             raise ParameterDomainError("a design needs at least one block, "
                                        "and every block at least two points")
@@ -212,17 +214,19 @@ def _cmd_design(plan) -> int:
         if plan.n is None:
             raise ParameterDomainError("design --type kts needs --n")
         res = designs.construct_kts(plan.n)
-        doc = _design_doc(res.design, classes=res.classes)
+        index = {blk: i for i, blk in enumerate(res.design.blocks)}
+        doc = _design_doc(res.design, classes=[[index[blk] for blk in cls]
+                                               for cls in res.classes])
     elif plan.type == "21-5-1":
         doc = _design_doc(designs.construct_design_21_5_1())
     else:
         if plan.order is None:
             raise ParameterDomainError("1-factorization needs --order")
         if plan.type == "1f":
-            of = designs.construct_one_factorization(plan.order)
+            res = designs.construct_one_factorization(plan.order)
         else:
-            of = designs.c4_free_one_factorization(plan.order)
-        doc = {"order": of.order, "factors": of.factors}
+            res = designs.c4_free_one_factorization(plan.order)
+        doc = {"order": res.design.n, "factors": res.classes}
     _emit(plan, json.dumps(doc, sort_keys=True))
     return 0
 
@@ -288,7 +292,7 @@ def main(argv=None) -> int:
     try:
         return execute(plan)
     except (ParameterDomainError, SizeCapError, ShapeError, CoverageError, ForeignVertexError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

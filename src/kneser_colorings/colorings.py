@@ -5,10 +5,10 @@ vertices of color i+1); its certificate is the graph's header() plus the
 classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
 on bitsets: one pass over the class members gives each class as a mask of
-vertex indices, and the graph's class_unions() gives the union of each
-class's neighbourhoods (on K(n,k) from the point stars, k ORs and one AND
-per member): no edge is listed, and no neighbourhood formed but that of
-the proper witness.
+vertex indices, and the graph's class_unions() gives the vertices adjacent
+to each class (on K(n,k) from the point stars, k ORs and one AND per
+member): no edge is listed, and no neighbourhood formed but that of the
+proper witness.
 """
 from __future__ import annotations
 
@@ -165,7 +165,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
 
     One pass over the class members gives each vertex's class and each class
     c as a mask M_c; the graph (any of the kneser.Graph protocol) gives U_c,
-    the union of the members' neighbourhoods, from class_unions().  Then
+    the vertices adjacent to a member, from class_unions().  Then
     proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
     proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
     M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs O(V*k)

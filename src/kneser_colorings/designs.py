@@ -15,7 +15,9 @@ three points (x, level) at 3m + level*m + x.  The (21,5,1)-design is PG(2,4).
 that one is not 4-cycle-free (exactly the orders with 3 | 2t-1), K_{2t}
 for odd t is doubled from two copies of K_t, and only the orders 16, 28
 and 40 develop a 4-cycle-free starter found by one deterministic search.
-Every KTS and 1-factorization passes the same resolution check.
+A KTS and a 1-factorization are both a Resolution: the design and its
+parallel classes as sorted tuples of blocks (a factor is a class of pairs),
+certified by the same resolution check.
 
 The four constructors (construct_sts, construct_kts, construct_design_21_5_1,
 c4_free_one_factorization) keep what they build for the life of the
@@ -56,14 +58,11 @@ class Design:
 
 @dataclass(frozen=True)
 class Resolution:
+    """A resolvable design and its parallel classes, each a sorted tuple of
+    blocks.  A 1-factorization of K_2t is the resolution of the 2-(2t, 2, 1)
+    design, and its classes are the factors."""
     design: Design
-    classes: tuple  # tuple of tuples of block indices
-
-
-@dataclass(frozen=True)
-class OneFactorization:
-    order: int
-    factors: tuple  # 2t-1 tuples of sorted vertex pairs on 1..2t
+    classes: tuple
 
 
 @dataclass
@@ -283,21 +282,21 @@ def find_parallel_class(d: Design):
 
 
 def _resolution_from_days(n: int, days) -> Resolution:
-    """The verified resolvable 2-(n, k, 1) design whose parallel classes are days.
+    """The verified resolvable 2-(n, k, 1) design whose parallel classes are days,
+    each sorted.
 
     k is read off the blocks and r = (n-1)/(k-1): KTS days (k = 3) and the
     factors of a 1-factorization of K_n (k = 2) are certified alike.  Once
     the design passes, no block repeats and each point lies in r blocks, so
     days that each partition the points are its r parallel classes.
     """
+    days = tuple(tuple(sorted(day)) for day in days)
     blocks = tuple(sorted(blk for day in days for blk in day))
     k = len(blocks[0])
     design = _checked(Design(n=n, blocks=blocks, k=k, r=(n - 1) // (k - 1), lam=1))
     if any(sorted(p for blk in day for p in blk) != list(range(1, n + 1)) for day in days):
         raise CertificateError("resolution class is not a partition of the points")
-    index = {blk: i for i, blk in enumerate(blocks)}
-    return Resolution(design=design,
-                      classes=tuple(tuple(sorted(index[blk] for blk in day)) for day in days))
+    return Resolution(design=design, classes=days)
 
 
 def _pg32_days():
@@ -396,13 +395,12 @@ def _tripled_days(u: int):
     (the transversal design i+j+k = 0, resolved by i-j); the fibres
     {(x,0), (x,1), (x,2)} make the last day.
     """
-    res = construct_kts(u)
     days = []
-    for cls in res.classes:
+    for cls in construct_kts(u).classes:
         for s in range(3):
             days.append(sorted(
                 tuple(sorted((i * u + x, (i - s) % 3 * u + y, (s - 2 * i) % 3 * u + z)))
-                for x, y, z in (res.design.blocks[bi] for bi in cls) for i in range(3)))
+                for x, y, z in cls for i in range(3)))
     days.append([(x, u + x, 2 * u + x) for x in range(1, u + 1)])
     return days
 
@@ -477,22 +475,15 @@ def circle_factor(t2: int, i: int) -> list:
     return _developed_factor(t2, [(-k, k) for k in range(1, t2 // 2)], i)
 
 
-def _one_factorization(t2: int, factors) -> OneFactorization:
-    """The factors, each sorted, certified as a resolution of the 2-(t2, 2, 1) design."""
-    factors = tuple(tuple(sorted(fac)) for fac in factors)
-    _resolution_from_days(t2, factors)
-    return OneFactorization(order=t2, factors=factors)
-
-
 ONE_FACTOR_ORDER_CAP = 600  # largest declared order: the design check counts t2^2/2 pairs
 
 
-def construct_one_factorization(t2: int) -> OneFactorization:
+def construct_one_factorization(t2: int) -> Resolution:
     """Round-robin (circle method) 1-factorization of K_{t2} on points 1..t2."""
     if t2 % 2 != 0 or not 4 <= t2 <= ONE_FACTOR_ORDER_CAP:
         raise ParameterDomainError(
             f"1-factorization needs even order in 4..{ONE_FACTOR_ORDER_CAP}, got {t2}")
-    return _one_factorization(t2, (circle_factor(t2, i) for i in range(t2 - 1)))
+    return _resolution_from_days(t2, (circle_factor(t2, i) for i in range(t2 - 1)))
 
 
 def _doubled_factors(t2: int):
@@ -510,19 +501,20 @@ def _doubled_factors(t2: int):
         yield [(x + 1, n + (x + k) % n + 1) for x in range(n)]
 
 
-def c4_pair_count(of: OneFactorization) -> int:
-    """The number of factor pairs whose union has a 4-cycle.
+def c4_pair_count(res: Resolution) -> int:
+    """The number of factor pairs of a 1-factorization whose union has a 4-cycle.
 
     With p_f the partner map of factor f, q = p_j p_i walks two edges round
     the union of F_i and F_j, so a 4-cycle is a point that q moves and q^2 fixes.
     """
+    n = res.design.n
     partners = []
-    for fac in of.factors:
-        p = [0] * (of.order + 1)
+    for fac in res.classes:
+        p = [0] * (n + 1)
         for a, b in fac:
             p[a], p[b] = b, a
         partners.append(p)
-    pts = range(1, of.order + 1)
+    pts = range(1, n + 1)
     return sum(any(q[q[v]] == v != q[v] for v in pts)
                for q in ([pj[x] for x in pi] for pi, pj in combinations(partners, 2)))
 
@@ -588,7 +580,7 @@ def _c4_free_starter(m: int):
 
 
 @cache
-def c4_free_one_factorization(t2: int) -> OneFactorization:
+def c4_free_one_factorization(t2: int) -> Resolution:
     """A 1-factorization of K_{t2} in which no two factors' union has a C4 component.
 
     Three routes: the circle method unless 3 | t2-1 (the only C4 it ever
@@ -605,7 +597,7 @@ def c4_free_one_factorization(t2: int) -> OneFactorization:
     if m % 3:
         of = construct_one_factorization(t2)
     elif t2 % 4 == 2:
-        of = _one_factorization(t2, _doubled_factors(t2))
+        of = _resolution_from_days(t2, _doubled_factors(t2))
     elif t2 > 40:
         raise ParameterDomainError(
             f"4-cycle-free 1-factorization of K_{t2} needs the starter search "
@@ -614,7 +606,7 @@ def c4_free_one_factorization(t2: int) -> OneFactorization:
         starter = _c4_free_starter(m)
         if starter is None:
             raise SearchExhaustedError(f"a complete search found no 4-cycle-free starter of Z_{m}")
-        of = _one_factorization(t2, (_developed_factor(t2, starter, i) for i in range(m)))
+        of = _resolution_from_days(t2, (_developed_factor(t2, starter, i) for i in range(m)))
     if c4_pair_count(of) != 0:
         raise CertificateError(f"the 1-factorization of K_{t2} has a C4 component")
     return of

@@ -272,9 +272,6 @@ class DisjointnessGraph(SubsetGraph):
             self._adj = rows
         return self._adj
 
-    def neighbourhoods(self):
-        return iter(self.adjacency_bitsets())
-
 
 def build_dv(ps: PointSet, k: int) -> DisjointnessGraph:
     return DisjointnessGraph(ps, k)

@@ -55,13 +55,14 @@ class Graph:
     """The graph protocol that verification and the oracles use.
 
     A graph has `vertices` in index order, index() (raising
-    ForeignVertexError) and neighbourhoods(), which yields each vertex's
-    neighbour bitset in index order (bit j of entry i is set iff vertices i
-    and j are adjacent).  adjacency_bitsets() and edges() derive from it.
-    class_unions(classes) gives the union of each class's neighbourhoods: it is
-    all that verification reads, and K(n,k) and the matching override its
-    default.  A graph that hosts a coloring also has a `name` for messages
-    and header(), its fields in a certificate (colorings.coloring_from_json).
+    ForeignVertexError) and two adjacency methods, each the other's default,
+    so a graph overrides exactly one of them: adjacency_bitsets(), each
+    vertex's neighbour bitset in index order (bit j of entry i is set iff
+    vertices i and j are adjacent), and class_unions(classes), the union of
+    each class's rows, all that verification reads.  K(n,k) and the matching
+    override class_unions, D_V(n,k) adjacency_bitsets.  edges() walks the
+    rows.  A graph that hosts a coloring also has a `name` for messages and
+    header(), its fields in a certificate (colorings.coloring_from_json).
     """
 
     @property
@@ -69,19 +70,18 @@ class Graph:
         return len(self.vertices)
 
     def adjacency_bitsets(self):
-        """Per-vertex neighbour bitsets, as a new list (not cached)."""
-        return list(self.neighbourhoods())
+        """Per-vertex neighbour bitsets, as a list: the unions of the one-member classes."""
+        return self.class_unions((v,) for v in self.vertices)
 
     def class_unions(self, classes):
         """Per class of vertex labels, the bitset of the vertices adjacent to a
-        member; this default ORs the members' rows of neighbourhoods(), the
-        reference that the overrides are tested against."""
+        member: the OR of the members' rows of adjacency_bitsets()."""
         rows = self.adjacency_bitsets()
         return [reduce(or_, (rows[self.index(v)] for v in cls), 0) for cls in classes]
 
     def edges(self):
         """Yield index pairs (i, j), i < j, of adjacent vertices, in index order."""
-        for i, nbrs in enumerate(self.neighbourhoods()):
+        for i, nbrs in enumerate(self.adjacency_bitsets()):
             for j in bit_indices(nbrs >> (i + 1)):
                 yield i, i + 1 + j
 
@@ -91,7 +91,7 @@ class SubsetGraph(Graph):
 
     K(n,k) and every D_V(n,k) share this vertex model: the same vertex
     tuple, index and point stars, and differ only in their adjacency
-    (neighbourhoods() and the pair rule _adjacent()).
+    (one adjacency method of Graph and the pair rule _adjacent()).
     """
 
     def __init__(self, n: int, k: int):
@@ -160,19 +160,12 @@ class KneserGraph(SubsetGraph):
     def _adjacent(self, u, v) -> bool:
         return not set(u) & set(v)
 
-    def neighbourhoods(self):
-        """Yield the neighbour bitset of each vertex in index order, the union
-        of its one-member class; nothing is kept once the caller moves on."""
-        return self._unions((v,) for v in self.vertices)
-
     def class_unions(self, classes):
-        return list(self._unions(classes))
-
-    def _unions(self, classes):
         """A vertex sees no member of a class iff it meets them all, so the
         union is ALL less the AND over members v of stars[x1] | ... | stars[xk]:
         k big-int ORs and one AND per member."""
         stars, full = self.stars, (1 << self.vertex_count) - 1
+        unions = []
         for cls in classes:
             met = full
             for v in cls:
@@ -180,7 +173,8 @@ class KneserGraph(SubsetGraph):
                 for x in v:
                     star |= stars[x]
                 met &= star
-            yield full ^ met
+            unions.append(full ^ met)
+        return unions
 
     def edge_count(self) -> int:
         return self.vertex_count * self.regular_degree // 2
@@ -236,10 +230,6 @@ class MatchingGraph(Graph):
 
     def _partner(self, i: int) -> int:
         return i + self.m if i < self.m else i - self.m
-
-    def neighbourhoods(self):
-        for i in range(2 * self.m):
-            yield 1 << self._partner(i)
 
     def class_unions(self, classes):
         """Each class's partners, as one bitset per class."""

@@ -197,13 +197,14 @@ def test_design_documents_match_the_list_copy_encoding(tmp_path, argv):
     size = int(argv[-1])
     if argv[2] == "kts":
         res = designs.construct_kts(size)
+        index = {blk: i for i, blk in enumerate(res.design.blocks)}
         doc = {"n": res.design.n, "blocks": as_lists(res.design.blocks),
-               "classes": as_lists(res.classes)}
+               "classes": [[index[blk] for blk in cls] for cls in res.classes]}
     else:
         build = (designs.construct_one_factorization if argv[2] == "1f"
                  else designs.c4_free_one_factorization)
-        of = build(size)
-        doc = {"order": of.order, "factors": as_lists(of.factors)}
+        res = build(size)
+        doc = {"order": res.design.n, "factors": as_lists(res.classes)}
     assert out.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
@@ -539,6 +540,7 @@ def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("doc", [
+    '{"n": 7}',
     '{"n": 7, "blocks": 5}',
     '{"n": 7, "blocks": [[1, 2, "x"]]}',
     '[1, 2]',

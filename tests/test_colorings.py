@@ -13,7 +13,7 @@ from kneser_colorings.colorings import (ALL_CHECKS, Coloring, certify, check_con
 from kneser_colorings.errors import CertificateError, CoverageError, ParameterDomainError
 from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achromatic_coloring,
                                        dvnk_lower_coloring, random_general_position)
-from kneser_colorings.kneser import Graph, KneserGraph, MatchingGraph, build_kneser
+from kneser_colorings.kneser import KneserGraph, MatchingGraph, bitset, build_kneser
 from kneser_colorings.pseudoachromatic import _five_block_classes
 
 from conftest import (as_lists, brute_complete, brute_dominating, brute_first_proper, brute_grundy,
@@ -336,34 +336,45 @@ _UNION_CASES = ([(f"K({n},2)", lambda n=n: _kneser_case(n, 2)) for n in range(5,
                 + [("D_V(8)", _dv_case)])
 
 
+def _pairwise_unions(g, adjacent, classes):
+    """Each class's union from the per-pair adjacency alone: the vertices
+    adjacent to some member, with no row of the graph read."""
+    return [bitset([j for j, u in enumerate(g.vertices) if any(adjacent(u, v) for v in cls)])
+            for cls in classes]
+
+
 @pytest.mark.parametrize("make", [m for _, m in _UNION_CASES],
                          ids=[name for name, _ in _UNION_CASES])
 def test_class_unions_match_the_neighbourhood_stream(make, monkeypatch):
-    """Each graph's class_unions() equals the generic one, which ORs the
-    members' neighbourhoods() rows, and so does every verdict and witness of
-    a report; the random colorings fail each of the four checks."""
+    """Each graph's class_unions() equals the unions formed from its per-pair
+    adjacency (on D_V, the hull test against the tangent rows), and so does
+    every verdict and witness of a report; the random colorings fail each of
+    the four checks."""
     g, adjacent = make()
     rng = random.Random(len(g.vertices) * 31 + len(g.name))
     failed = set()
     for mode in ("partition", "shuffled", "split") * 4:
         classes = _random_classes(list(g.vertices), adjacent, rng, mode)
-        assert g.class_unions(classes) == Graph.class_unions(g, classes)
+        assert g.class_unions(classes) == _pairwise_unions(g, adjacent, classes)
         coloring = Coloring(g, classes)
         rep = verify_coloring(coloring)
-        with monkeypatch.context() as generic:
-            generic.setattr(type(g), "class_unions", Graph.class_unions)
+        with monkeypatch.context() as pairwise:
+            pairwise.setattr(type(g), "class_unions",
+                             lambda self, classes: _pairwise_unions(self, adjacent, classes))
             assert verify_coloring(coloring) == rep, classes
         failed |= {check for check in ALL_CHECKS if getattr(rep, check) is False}
     assert failed == ALL_CHECKS
 
 
 def test_kneser_and_matching_verification_never_stream_neighbourhoods(monkeypatch):
-    def no_stream(self):
-        raise AssertionError("verify_coloring streamed neighbourhoods()")
+    """Verification on K(n,k) and the matching reads class_unions() only,
+    never the per-vertex rows of adjacency_bitsets()."""
+    def no_rows(self):
+        raise AssertionError("verify_coloring built adjacency_bitsets()")
 
     certified = [achromatic_coloring(9), pseudoachromatic.matching_coloring(40)]
-    monkeypatch.setattr(KneserGraph, "neighbourhoods", no_stream)
-    monkeypatch.setattr(MatchingGraph, "neighbourhoods", no_stream)
+    monkeypatch.setattr(KneserGraph, "adjacency_bitsets", no_rows)
+    monkeypatch.setattr(MatchingGraph, "adjacency_bitsets", no_rows)
     for c in certified:
         rep = verify_coloring(c)
         assert rep.proper and rep.complete

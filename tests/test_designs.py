@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from kneser_colorings import designs
-from kneser_colorings.designs import (Design, c4_free_one_factorization, c4_pair_count,
-                                      circle_factor, construct_design_21_5_1, construct_kts,
-                                      construct_one_factorization, construct_sts,
+from kneser_colorings.designs import (Design, Resolution, c4_free_one_factorization,
+                                      c4_pair_count, circle_factor, construct_design_21_5_1,
+                                      construct_kts, construct_one_factorization, construct_sts,
                                       find_parallel_class, triangle_packing, verify_design)
 from kneser_colorings.errors import (CertificateError, ParameterDomainError,
                                      SearchExhaustedError)
@@ -107,11 +107,11 @@ def test_kirkman_resolutions(n):
     assert all(c == 1 for c in cover.values())
     seen = set()
     for cls in res.classes:
-        pts = sorted(p for bi in cls for p in d.blocks[bi])
+        pts = sorted(p for blk in cls for p in blk)
         assert pts == list(range(1, n + 1))
         assert not seen & set(cls)
         seen.update(cls)
-    assert len(seen) == d.b
+    assert seen == set(d.blocks) and len(seen) == d.b
 
 
 def test_kts_tripling_does_not_search(monkeypatch):
@@ -245,16 +245,16 @@ def test_projective_plane_design():
 
 def test_one_factorization_shapes():
     of6 = construct_one_factorization(6)
-    assert len(of6.factors) == 5 and all(len(f) == 3 for f in of6.factors)
+    assert len(of6.classes) == 5 and all(len(f) == 3 for f in of6.classes)
     of8 = construct_one_factorization(8)
-    assert len(of8.factors) == 7 and all(len(f) == 4 for f in of8.factors)
+    assert len(of8.classes) == 7 and all(len(f) == 4 for f in of8.classes)
     with pytest.raises(ParameterDomainError):
         construct_one_factorization(5)
 
 
 def test_two_factor_union_two_regular():
     of = construct_one_factorization(8)
-    for f1, f2 in combinations(of.factors, 2):
+    for f1, f2 in combinations(of.classes, 2):
         lens = union_cycle_lengths(f1, f2, 8)
         assert sum(lens) == 8
         assert all(ln % 2 == 0 and ln >= 4 for ln in lens)
@@ -263,21 +263,21 @@ def test_two_factor_union_two_regular():
 def test_c4_free_small():
     # on 6 vertices the union of two 1-factors has to be a single 6-cycle
     of = c4_free_one_factorization(6)
-    for f1, f2 in combinations(of.factors, 2):
+    for f1, f2 in combinations(of.classes, 2):
         assert union_cycle_lengths(f1, f2, 6) == [6]
 
 
 @pytest.mark.parametrize("t2", list(range(6, 47, 2)))
 def test_c4_free_all_even_orders(t2):
     of = c4_free_one_factorization(t2)
-    assert len(of.factors) == t2 - 1
+    assert len(of.classes) == t2 - 1
     assert c4_pair_count(of) == 0
     edges = set()
-    for fac in of.factors:
+    for fac in of.classes:
         assert sorted(v for e in fac for v in e) == list(range(1, t2 + 1))
         edges.update(fac)
     assert len(edges) == comb(t2, 2)
-    for f1, f2 in combinations(of.factors, 2):
+    for f1, f2 in combinations(of.classes, 2):
         assert all(ln % 2 == 0 and ln >= 6 for ln in union_cycle_lengths(f1, f2, t2))
 
 
@@ -323,8 +323,8 @@ def test_doubling_builds_every_order_2_mod_4_up_to_the_cap_without_search(monkey
     counts = {}
 
     def recorded(of):
-        counts[of.order] = c4_pair_count(of)
-        return counts[of.order]
+        counts[of.design.n] = c4_pair_count(of)
+        return counts[of.design.n]
 
     monkeypatch.setattr(designs, "_c4_free_starter", refuse)
     monkeypatch.setattr(designs, "c4_pair_count", recorded)
@@ -333,7 +333,7 @@ def test_doubling_builds_every_order_2_mod_4_up_to_the_cap_without_search(monkey
     assert {10, 22, 34, 46, 58, 70, designs.C4F_ORDER_CAP} <= set(orders)
     for t2 in orders:
         of = c4_free_one_factorization(t2)
-        assert len(of.factors) == t2 - 1
+        assert len(of.classes) == t2 - 1
     assert counts == {t2: 0 for t2 in orders}
     c4_free_one_factorization.cache_clear()
 
@@ -387,7 +387,8 @@ def test_c4_pair_count_matches_cycle_walk():
     # circle factorizations (a C4 pair exactly when 3 | t2 - 1) and the same
     # factors with the points of half of them relabelled
     for t2 in range(4, 31, 2):
-        factors = construct_one_factorization(t2).factors
+        of = construct_one_factorization(t2)
+        factors = of.classes
         shift = {v: v % t2 + 1 for v in range(1, t2 + 1)}
         mixed = factors[: t2 // 2] + tuple(
             tuple(tuple(sorted((shift[a], shift[b]))) for a, b in fac)
@@ -395,12 +396,12 @@ def test_c4_pair_count_matches_cycle_walk():
         for facs in (factors, mixed):
             walked = sum(1 for f1, f2 in combinations(facs, 2)
                          if 4 in union_cycle_lengths(f1, f2, t2))
-            assert c4_pair_count(designs.OneFactorization(t2, facs)) == walked, t2
+            assert c4_pair_count(Resolution(of.design, facs)) == walked, t2
 
 
 def test_c4_free_circle_order_above_46_still_builds():
     of = c4_free_one_factorization(48)
-    assert len(of.factors) == 47 and c4_pair_count(of) == 0
+    assert len(of.classes) == 47 and c4_pair_count(of) == 0
 
 
 def test_c4_free_rejects_k4():
@@ -418,7 +419,7 @@ def test_circle_factor_lists_edges_in_k_order(t2):
             assert {(b - a) % m, (a - b) % m} == {2 * k % m, -2 * k % m}
             assert (a - 1 + b - 1) % m == 2 * i % m  # symmetric about i
     factors = tuple(tuple(sorted(circle_factor(t2, i))) for i in range(m))
-    assert construct_one_factorization(t2).factors == factors
+    assert construct_one_factorization(t2).classes == factors
 
 
 def test_circle_method_c4_profile():
@@ -494,7 +495,7 @@ def test_resolution_check_wants_each_day_a_partition():
     # the six edges of K_4 pass as a 2-(4, 2, 1) design either way; only the
     # first grouping is three perfect matchings
     days = [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
-    assert designs._resolution_from_days(4, days).classes == ((0, 5), (1, 4), (2, 3))
+    assert designs._resolution_from_days(4, days).classes == tuple(days)
     regrouped = [((1, 2), (1, 3)), ((2, 4), (3, 4)), ((1, 4), (2, 3))]
     with pytest.raises(CertificateError, match="not a partition"):
         designs._resolution_from_days(4, regrouped)

@@ -8,8 +8,9 @@ import pytest
 from kneser_colorings.achromatic import achromatic_coloring
 from kneser_colorings.colorings import coloring_from_json, verify_coloring
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
-from kneser_colorings.geometry import build_dv, random_general_position
-from kneser_colorings.kneser import KneserGraph, bitset, build_kneser, lovasz_chromatic
+from kneser_colorings.geometry import DisjointnessGraph, build_dv, random_general_position
+from kneser_colorings.kneser import (Graph, KneserGraph, MatchingGraph, bitset, build_kneser,
+                                     lovasz_chromatic)
 from kneser_colorings.pseudoachromatic import psi_lower_coloring
 
 from conftest import brute_kneser_edges, colex_subsets, frees_what_it_makes
@@ -92,6 +93,15 @@ def test_edges_are_the_disjoint_pairs_in_index_order(n, k):
     bits = g.adjacency_bitsets()
     assert all((bits[i] >> j) & 1 and (bits[j] >> i) & 1 for i, j in want)
     assert sum(b.bit_count() for b in bits) == 2 * len(want)
+
+
+@pytest.mark.parametrize("cls", [KneserGraph, MatchingGraph, DisjointnessGraph])
+def test_each_host_graph_overrides_exactly_one_adjacency_method(cls):
+    """Graph's adjacency_bitsets() and class_unions() each default to the
+    other, so a graph overriding neither would recurse without end."""
+    overridden = [name for name in ("adjacency_bitsets", "class_unions")
+                  if getattr(cls, name) is not getattr(Graph, name)]
+    assert len(overridden) == 1, overridden
 
 
 def _scanned_stars(g):
