@@ -114,6 +114,8 @@ def _emit(plan, text: str) -> None:
 
 def _cmd_construct(plan) -> int:
     fam = plan.family
+    if plan.grundy and fam != "kn2-achromatic":
+        raise ParameterDomainError(f"--grundy applies to kn2-achromatic only, not {fam}")
     if fam == "matching":
         if plan.m is None:
             raise ParameterDomainError("--family matching needs --m")
@@ -141,11 +143,14 @@ def _cmd_verify(plan) -> int:
     kind = _GRAPH_KINDS[type(g)]
     if plan.graph and plan.graph != kind:
         raise ParameterDomainError(f"certificate is for a {kind} graph, not {plan.graph}")
-    if kind == "kneser":
-        if plan.n is not None and plan.n != g.n:
-            raise ParameterDomainError(f"certificate has n={g.n}, not {plan.n}")
-        if plan.k is not None and plan.k != g.k:
-            raise ParameterDomainError(f"certificate has k={g.k}, not {plan.k}")
+    for flag in ("n", "k"):
+        want, have = getattr(plan, flag), getattr(g, flag, None)
+        if want is None:
+            continue
+        if have is None:
+            raise ParameterDomainError(f"--{flag} does not apply to a {kind} certificate")
+        if want != have:
+            raise ParameterDomainError(f"certificate has {flag}={have}, not {want}")
     cond_c = "condition-c" in wanted
     wanted = [c for c in wanted if c != "condition-c"] or ["proper", "complete"]
     rep = verify_coloring(coloring, checks=set(wanted))

@@ -12,8 +12,7 @@ B - b strictly right of it; disjoint hulls have two inner tangents, one with
 A on each side, so one orientation suffices.  With left[p][q] the label
 mask of the points strictly left of p->q (filled by PointSet's orientation
 scan, one orientation per triple), D_V(n,k) is built from O(n^3 + V*k*n)
-big-int operations instead of C(V,2) hull tests.  The per-pair predicates
-(`segments_disjoint`, `hulls_disjoint`) stay as the independent reference.
+big-int operations instead of C(V,2) hull tests.
 """
 from __future__ import annotations
 
@@ -39,37 +38,6 @@ def orientation(p, q, r) -> int:
     return (d > 0) - (d < 0)
 
 
-def _on_segment(p, q, r) -> bool:
-    # q collinear with pr: is q within the bounding box of pr?
-    return (min(p[0], r[0]) <= q[0] <= max(p[0], r[0])
-            and min(p[1], r[1]) <= q[1] <= max(p[1], r[1]))
-
-
-def segments_intersect(a, b) -> bool:
-    """Closed segments a = (p1,p2), b = (q1,q2) share at least one point."""
-    p1, p2 = a
-    q1, q2 = b
-    o1 = orientation(p1, p2, q1)
-    o2 = orientation(p1, p2, q2)
-    o3 = orientation(q1, q2, p1)
-    o4 = orientation(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(p1, q1, p2):
-        return True
-    if o2 == 0 and _on_segment(p1, q2, p2):
-        return True
-    if o3 == 0 and _on_segment(q1, p1, q2):
-        return True
-    if o4 == 0 and _on_segment(q1, p2, q2):
-        return True
-    return False
-
-
-def segments_disjoint(a, b) -> bool:
-    return not segments_intersect(a, b)
-
-
 def convex_hull(points):
     """Monotone chain; returns the hull as indices into `points`, ccw order."""
     idx = sorted(range(len(points)), key=lambda i: points[i])
@@ -88,37 +56,6 @@ def convex_hull(points):
     lower = half(idx)
     upper = half(reversed(idx))
     return lower[:-1] + upper[:-1]
-
-
-def _point_in_convex(hull_pts, p) -> bool:
-    # hull ccw with >= 3 vertices; general position keeps p off the boundary
-    for i in range(len(hull_pts)):
-        if orientation(hull_pts[i], hull_pts[(i + 1) % len(hull_pts)], p) < 0:
-            return False
-    return True
-
-
-def hulls_disjoint(pts_a, pts_b) -> bool:
-    """Convex hulls of two coordinate lists share no point (closed hulls)."""
-    ha = [pts_a[i] for i in convex_hull(pts_a)]
-    hb = [pts_b[i] for i in convex_hull(pts_b)]
-
-    def boundary(h):
-        if len(h) == 1:
-            return [(h[0], h[0])]
-        if len(h) == 2:
-            return [(h[0], h[1])]
-        return [(h[i], h[(i + 1) % len(h)]) for i in range(len(h))]
-
-    for ea in boundary(ha):
-        for eb in boundary(hb):
-            if segments_intersect(ea, eb):
-                return False
-    if len(hb) >= 3 and _point_in_convex(hb, pts_a[0]):
-        return False
-    if len(ha) >= 3 and _point_in_convex(ha, pts_b[0]):
-        return False
-    return True
 
 
 class PointSet:
@@ -153,10 +90,6 @@ class PointSet:
 
     def coord(self, label: int):
         return self.coords[label - 1]
-
-    def segment(self, pair):
-        a, b = pair
-        return (self.coords[a - 1], self.coords[b - 1])
 
     @property
     def convex_position(self) -> bool:
@@ -219,7 +152,7 @@ class DisjointnessGraph(SubsetGraph):
     there); N(A) is the union of tangent[b] over a in A and the b with A - a
     strictly left of a->b.  That is n(n-1) tangent rows of at most n star
     unions, then per vertex k anchors of k-1 mask ANDs and one union per
-    tangent point.  adjacent_subsets() is the per-pair reference.
+    tangent point.
     """
 
     def __init__(self, ps: PointSet, k: int):
@@ -236,14 +169,6 @@ class DisjointnessGraph(SubsetGraph):
 
     def header(self) -> dict:
         return {"points": self.ps.coords, "k": self.k}
-
-    def _adjacent(self, u, v) -> bool:
-        if set(u) & set(v):
-            return False
-        if self.k == 2:
-            return segments_disjoint(self.ps.segment(u), self.ps.segment(v))
-        return hulls_disjoint([self.ps.coord(x) for x in u],
-                              [self.ps.coord(x) for x in v])
 
     def adjacency_bitsets(self):
         """Per-vertex neighbour bitsets in index order (computed once, cached)."""

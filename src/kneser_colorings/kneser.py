@@ -90,8 +90,8 @@ class SubsetGraph(Graph):
     """A graph on the k-subsets of 1..n, in colex order.
 
     K(n,k) and every D_V(n,k) share this vertex model: the same vertex
-    tuple, index and point stars, and differ only in their adjacency
-    (one adjacency method of Graph and the pair rule _adjacent()).
+    tuple, index and point stars, and differ only in the adjacency method
+    of Graph that each overrides.
     """
 
     def __init__(self, n: int, k: int):
@@ -107,12 +107,6 @@ class SubsetGraph(Graph):
             return self._index[tuple(v)]
         except KeyError:
             raise ForeignVertexError(f"{v} is not a vertex of K({self.n},{self.k})") from None
-
-    def adjacent_subsets(self, u, v) -> bool:
-        """Whether vertices u and v are adjacent: the per-pair reference."""
-        if tuple(u) not in self._index or tuple(v) not in self._index:
-            raise ForeignVertexError(f"{u} or {v} is not a vertex of K({self.n},{self.k})")
-        return self._adjacent(u, v)
 
     @cached_property
     def stars(self) -> tuple:
@@ -156,9 +150,6 @@ class KneserGraph(SubsetGraph):
     @property
     def regular_degree(self) -> int:
         return comb(self.n - self.k, self.k)
-
-    def _adjacent(self, u, v) -> bool:
-        return not set(u) & set(v)
 
     def class_unions(self, classes):
         """A vertex sees no member of a class iff it meets them all, so the

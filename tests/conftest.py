@@ -1,14 +1,96 @@
 """Shared brute-force helpers; these stay independent of the library code paths
-they are used to check."""
+they are used to check.
+
+The per-pair adjacency references live here, not in the package, which
+builds every adjacency from bitsets.  The geometric ones take `orientation`
+and `convex_hull` from the package: both are single-triple or single-list
+primitives, and neither is the tangent-row path of D_V(n,k) that the
+references check.
+"""
 import gc
 from contextlib import contextmanager
 from itertools import combinations
+
+from kneser_colorings.geometry import convex_hull, orientation
+
+
+def kneser_adjacent(u, v):
+    """K(n,k) adjacency of two vertices: the subsets are disjoint."""
+    return not set(u) & set(v)
+
+
+def _on_segment(p, q, r):
+    # q collinear with pr: is q within the bounding box of pr?
+    return (min(p[0], r[0]) <= q[0] <= max(p[0], r[0])
+            and min(p[1], r[1]) <= q[1] <= max(p[1], r[1]))
+
+
+def segments_intersect(a, b):
+    """Closed segments a = (p1,p2), b = (q1,q2) share at least one point."""
+    p1, p2 = a
+    q1, q2 = b
+    o1 = orientation(p1, p2, q1)
+    o2 = orientation(p1, p2, q2)
+    o3 = orientation(q1, q2, p1)
+    o4 = orientation(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_segment(p1, q1, p2):
+        return True
+    if o2 == 0 and _on_segment(p1, q2, p2):
+        return True
+    if o3 == 0 and _on_segment(q1, p1, q2):
+        return True
+    if o4 == 0 and _on_segment(q1, p2, q2):
+        return True
+    return False
+
+
+def _point_in_convex(hull_pts, p):
+    # hull ccw with >= 3 vertices; general position keeps p off the boundary
+    for i in range(len(hull_pts)):
+        if orientation(hull_pts[i], hull_pts[(i + 1) % len(hull_pts)], p) < 0:
+            return False
+    return True
+
+
+def hulls_disjoint(pts_a, pts_b):
+    """Convex hulls of two coordinate lists share no point (closed hulls).
+    A two-point hull is its segment, so this decides segments too."""
+    ha = [pts_a[i] for i in convex_hull(pts_a)]
+    hb = [pts_b[i] for i in convex_hull(pts_b)]
+
+    def boundary(h):
+        if len(h) == 1:
+            return [(h[0], h[0])]
+        if len(h) == 2:
+            return [(h[0], h[1])]
+        return [(h[i], h[(i + 1) % len(h)]) for i in range(len(h))]
+
+    for ea in boundary(ha):
+        for eb in boundary(hb):
+            if segments_intersect(ea, eb):
+                return False
+    if len(hb) >= 3 and _point_in_convex(hb, pts_a[0]):
+        return False
+    if len(ha) >= 3 and _point_in_convex(ha, pts_b[0]):
+        return False
+    return True
+
+
+def dv_adjacent(ps):
+    """D_V(n,k) adjacency over the PointSet ps: disjoint subsets whose hulls
+    are disjoint, one hull test per pair for every k."""
+    def adjacent(u, v):
+        return kneser_adjacent(u, v) and hulls_disjoint([ps.coord(x) for x in u],
+                                                        [ps.coord(x) for x in v])
+    return adjacent
 
 
 def brute_kneser_edges(n, k):
     """All disjoint pairs of k-subsets of [n], by direct enumeration."""
     verts = list(combinations(range(1, n + 1), k))
-    return [(u, v) for u, v in combinations(verts, 2) if not set(u) & set(v)]
+    return [(u, v) for u, v in combinations(verts, 2) if kneser_adjacent(u, v)]
 
 
 def colex_subsets(n, k):

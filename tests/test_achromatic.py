@@ -9,11 +9,7 @@ from kneser_colorings.colorings import Coloring, check_condition_C, verify_color
 from kneser_colorings.errors import ParameterDomainError, ShapeError
 from kneser_colorings.kneser import build_kneser
 
-from conftest import brute_complete, brute_proper
-
-
-def _adjacent(u, v):
-    return not set(u) & set(v)
+from conftest import brute_complete, brute_proper, kneser_adjacent
 
 
 def _search_small_patterns(n, profile):
@@ -26,8 +22,8 @@ def _search_small_patterns(n, profile):
     def rec(remaining, classes, sizes):
         if not sizes:
             if not remaining:
-                ok_p, _ = brute_proper(classes, _adjacent)
-                ok_c, _ = brute_complete(classes, _adjacent)
+                ok_p, _ = brute_proper(classes, kneser_adjacent)
+                ok_c, _ = brute_complete(classes, kneser_adjacent)
                 if ok_p and ok_c:
                     results.append(tuple(tuple(sorted(c)) for c in classes))
             return

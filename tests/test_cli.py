@@ -414,6 +414,37 @@ def test_verify_wrong_params_exits_2(tmp_path):
     assert err["error"] == "ParameterDomainError" and "bogus" in err["message"]
 
 
+def test_verify_cross_checks_n_and_k_on_every_certificate(tmp_path, capsys):
+    from kneser_colorings import cli
+
+    dv, matching = tmp_path / "dv.json", tmp_path / "matching.json"
+    assert cli.main(["geom", "--op", "dv-coloring", "--n", "7", "--out", str(dv)]) == 0
+    assert cli.main(["construct", "--family", "matching", "--m", "5", "--out", str(matching)]) == 0
+    for path, flags, message in (
+            (dv, ["--n", "9", "--k", "3"], "certificate has n=7, not 9"),
+            (dv, ["--k", "3"], "certificate has k=2, not 3"),
+            (matching, ["--n", "9", "--k", "3"], "--n does not apply to a matching certificate"),
+            (matching, ["--k", "2"], "--k does not apply to a matching certificate")):
+        assert cli.main(["verify", "--coloring", str(path), *flags]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ParameterDomainError",
+                                                       "message": message}
+    assert cli.main(["verify", "--coloring", str(dv), "--graph", "dv", "--n", "7", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+
+
+@pytest.mark.parametrize("family", [["kn2-psi-lower", "--n", "8"], ["kn2-psi-tight", "--n", "8"],
+                                    ["matching", "--m", "5"]])
+def test_construct_grundy_outside_kn2_achromatic_exits_2(family, capsys):
+    from kneser_colorings import cli
+
+    assert cli.main(["construct", "--family", *family, "--grundy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParameterDomainError",
+        "message": f"--grundy applies to kn2-achromatic only, not {family[0]}"}
+
+
 def test_verify_empty_checks_exits_2(tmp_path, capsys):
     from kneser_colorings import cli
 

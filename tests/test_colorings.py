@@ -17,11 +17,7 @@ from kneser_colorings.kneser import KneserGraph, MatchingGraph, bitset, build_kn
 from kneser_colorings.pseudoachromatic import _five_block_classes
 
 from conftest import (as_lists, brute_complete, brute_dominating, brute_first_proper, brute_grundy,
-                      brute_proper)
-
-
-def _kneser_adjacent(u, v):
-    return not set(u) & set(v)
+                      brute_proper, dv_adjacent, kneser_adjacent)
 
 
 def test_petersen_optimal_pattern():
@@ -53,8 +49,8 @@ def test_completeness_agrees_with_naive_scan(n):
     g = build_kneser(n, 2)
     c = achromatic_coloring(n)
     rep = verify_coloring(Coloring(g, c.classes), checks={"complete", "proper"})
-    ok, _ = brute_complete(c.classes, _kneser_adjacent)
-    ok_p, _ = brute_proper(c.classes, _kneser_adjacent)
+    ok, _ = brute_complete(c.classes, kneser_adjacent)
+    ok_p, _ = brute_proper(c.classes, kneser_adjacent)
     assert rep.complete == ok and rep.proper == ok_p
 
 
@@ -68,7 +64,7 @@ def test_completeness_witness_when_leaders_run_against_class_order():
                *(((v,) for v in g.vertices if 1 not in v)))
     rep = verify_coloring(Coloring(g, classes), checks={"complete"})
     assert (rep.complete, rep.witnesses) == (False, {"complete": (1, 2)})
-    assert brute_complete(classes, _kneser_adjacent) == (False, (1, 2))
+    assert brute_complete(classes, kneser_adjacent) == (False, (1, 2))
 
 
 def _tampered(classes, rng):
@@ -90,11 +86,11 @@ def _tampered(classes, rng):
 
 def _dv8_convex():
     c = dv_achromatic_coloring(convex_position_points(8))
-    return c, c.graph.adjacent_subsets
+    return c, dv_adjacent(c.graph.ps)
 
 
 _TAMPERED_CASES = {
-    "K(30,2)": lambda: (achromatic_coloring(30), _kneser_adjacent),
+    "K(30,2)": lambda: (achromatic_coloring(30), kneser_adjacent),
     "matching(40)": lambda: (pseudoachromatic.matching_coloring(40),
                              lambda u, v: abs(u - v) == 40),
     "D_V(8) convex": _dv8_convex,
@@ -128,8 +124,8 @@ def test_perturbation_detected(seed):
     classes[dst].append(v)
     mutated = Coloring(g, tuple(tuple(cls) for cls in classes))
     rep = verify_coloring(mutated, checks={"proper", "complete"})
-    ok_c, _ = brute_complete(mutated.classes, _kneser_adjacent)
-    ok_p, _ = brute_proper(mutated.classes, _kneser_adjacent)
+    ok_c, _ = brute_complete(mutated.classes, kneser_adjacent)
+    ok_p, _ = brute_proper(mutated.classes, kneser_adjacent)
     assert rep.complete == ok_c and rep.proper == ok_p
 
 
@@ -289,12 +285,12 @@ def _random_classes(vertices, adjacent, rng, mode):
 
 
 def _kneser_case(n, k):
-    return build_kneser(n, k), _kneser_adjacent
+    return build_kneser(n, k), kneser_adjacent
 
 
 def _dv_case():
     g = build_dv(random_general_position(8, seed=1), 2)
-    return g, g.adjacent_subsets
+    return g, dv_adjacent(g.ps)
 
 
 def _matching_case(m=6):

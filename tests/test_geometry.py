@@ -8,9 +8,11 @@ from kneser_colorings.errors import ForeignVertexError, ParameterDomainError, Si
 from kneser_colorings.geometry import (PointSet, build_dv, convex_position_points,
                                        dv_achromatic_coloring, dvnk_lower_coloring,
                                        orientation, random_convex_position,
-                                       random_general_position, segments_disjoint,
-                                       thrackle_max_edges, triangle_pair_check)
+                                       random_general_position, thrackle_max_edges,
+                                       triangle_pair_check)
 from kneser_colorings.kneser import build_kneser
+
+from conftest import dv_adjacent, hulls_disjoint, kneser_adjacent
 
 
 def test_orientation_examples():
@@ -20,14 +22,15 @@ def test_orientation_examples():
 
 
 def test_segment_disjointness_examples():
-    assert segments_disjoint(((0, 0), (1, 0)), ((0, 1), (1, 1)))
-    assert not segments_disjoint(((0, 0), (2, 2)), ((0, 2), (2, 0)))  # crossing
-    assert not segments_disjoint(((0, 0), (1, 0)), ((1, 0), (2, 1)))  # shared end
+    # the D_V reference decides k = 2 by the hull test: a two-point hull is its segment
+    assert hulls_disjoint([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+    assert not hulls_disjoint([(0, 0), (2, 2)], [(0, 2), (2, 0)])  # crossing
+    assert not hulls_disjoint([(0, 0), (1, 0)], [(1, 0), (2, 1)])  # shared end
 
 
 def test_collinear_overlap_detected():
-    assert not segments_disjoint(((0, 0), (4, 0)), ((2, 0), (6, 0)))
-    assert segments_disjoint(((0, 0), (1, 0)), ((3, 0), (5, 0)))
+    assert not hulls_disjoint([(0, 0), (4, 0)], [(2, 0), (6, 0)])
+    assert hulls_disjoint([(0, 0), (1, 0)], [(3, 0), (5, 0)])
 
 
 def test_pointset_validation():
@@ -63,7 +66,7 @@ def test_dv_subgraph_of_kneser():
         ps = random_general_position(6, seed=seed)
         g = build_dv(ps, 2)
         for i, j in g.edges():
-            assert not set(g.vertices[i]) & set(g.vertices[j])
+            assert kneser_adjacent(g.vertices[i], g.vertices[j])
 
 
 def test_dv_edge_count_bounded():
@@ -74,14 +77,14 @@ def test_dv_edge_count_bounded():
 
 def test_dv_k3_consecutive_arcs():
     g = build_dv(convex_position_points(6), 3)
-    assert g.adjacent_subsets((1, 2, 3), (4, 5, 6))
+    assert g.adjacency_bitsets()[g.index((1, 2, 3))] >> g.index((4, 5, 6)) & 1
 
 
-@pytest.mark.parametrize("u,v", [((0, 3), (4, 5)), ((1, 9), (2, 3)), ((1, 2, 3), (4, 5))])
-def test_dv_adjacent_subsets_rejects_foreign_vertices(u, v):
+@pytest.mark.parametrize("v", [(0, 3), (1, 9), (1, 2, 3)])
+def test_dv_index_rejects_foreign_vertices(v):
     g = build_dv(convex_position_points(6), 2)
     with pytest.raises(ForeignVertexError):
-        g.adjacent_subsets(u, v)
+        g.index(v)
 
 
 def test_left_masks_match_orientation():
@@ -95,10 +98,11 @@ def test_left_masks_match_orientation():
 
 
 def _all_pairs_bitsets(g):
-    """Neighbour bitsets from the per-pair hull or segment test."""
+    """Neighbour bitsets from the per-pair hull test."""
+    adjacent = dv_adjacent(g.ps)
     bits = [0] * g.vertex_count
     for (i, u), (j, v) in combinations(enumerate(g.vertices), 2):
-        if g.adjacent_subsets(u, v):
+        if adjacent(u, v):
             bits[i] |= 1 << j
             bits[j] |= 1 << i
     return bits

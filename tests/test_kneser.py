@@ -13,7 +13,13 @@ from kneser_colorings.kneser import (Graph, KneserGraph, MatchingGraph, bitset, 
                                      lovasz_chromatic)
 from kneser_colorings.pseudoachromatic import psi_lower_coloring
 
-from conftest import brute_kneser_edges, colex_subsets, frees_what_it_makes
+from conftest import (brute_kneser_edges, colex_subsets, frees_what_it_makes,
+                      kneser_adjacent)
+
+
+def _row_adjacent(g, u, v):
+    """Whether u and v are adjacent by g's adjacency_bitsets() row of u."""
+    return bool(g.adjacency_bitsets()[g.index(u)] >> g.index(v) & 1)
 
 
 def test_petersen_shape():
@@ -37,17 +43,16 @@ def test_k32_edgeless_boundary_case():
 
 
 def test_adjacency_examples():
-    g5 = build_kneser(5, 2)
-    assert g5.adjacent_subsets((1, 2), (3, 4))
-    assert not g5.adjacent_subsets((1, 2), (2, 3))
-    g6 = build_kneser(6, 3)
-    assert g6.adjacent_subsets((1, 2, 3), (4, 5, 6))
+    g5, g6 = build_kneser(5, 2), build_kneser(6, 3)
+    for g, u, v, want in ((g5, (1, 2), (3, 4), True), (g5, (1, 2), (2, 3), False),
+                          (g6, (1, 2, 3), (4, 5, 6), True)):
+        assert _row_adjacent(g, u, v) == kneser_adjacent(u, v) == want
 
 
 def test_foreign_vertex_rejected():
     g = build_kneser(5, 2)
     with pytest.raises(ForeignVertexError):
-        g.adjacent_subsets((1, 2), (5, 6))
+        g.index((5, 6))
     with pytest.raises(ForeignVertexError):
         g.index((1, 2, 3))
 
@@ -136,12 +141,12 @@ def test_bitset_sets_exactly_the_given_indices(size):
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_k2_matches_line_graph_complement(n):
-    """Adjacency in K(n,2) = edge-disjointness in K_n, built independently."""
+    """Adjacency in K(n,2) = edge-disjointness in K_n: every pair of rows of
+    adjacency_bitsets() against the reference."""
     g = build_kneser(n, 2)
     edges_kn = list(combinations(range(1, n + 1), 2))
     for u, v in combinations(edges_kn, 2):
-        share = bool(set(u) & set(v))
-        assert g.adjacent_subsets(u, v) == (not share)
+        assert _row_adjacent(g, u, v) == _row_adjacent(g, v, u) == kneser_adjacent(u, v)
 
 
 def test_lovasz_formula():

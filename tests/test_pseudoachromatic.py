@@ -14,11 +14,7 @@ from kneser_colorings.pseudoachromatic import (MatchingGraph, kneser_matching_co
                                                matching_coloring, psi_lower_coloring,
                                                psi_tight_coloring)
 
-from conftest import brute_complete
-
-
-def _adjacent(u, v):
-    return not set(u) & set(v)
+from conftest import brute_complete, kneser_adjacent
 
 
 @pytest.mark.parametrize("n,classes", [(7, 10), (8, 14), (9, 18)])
@@ -36,7 +32,7 @@ def test_lower_bound_complete_by_naive_scan(n, monkeypatch):
     monkeypatch.setattr(designs, "c4_free_one_factorization", refuse)
     monkeypatch.setattr(pseudoachromatic, "c4_free_one_factorization", refuse, raising=False)
     c = psi_lower_coloring(n)
-    ok, witness = brute_complete(c.classes, _adjacent)
+    ok, witness = brute_complete(c.classes, kneser_adjacent)
     assert ok, witness
 
 
