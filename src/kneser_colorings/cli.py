@@ -192,6 +192,8 @@ def _design_doc(design: designs.Design, classes=None):
 
 def _cmd_design(plan) -> int:
     if plan.check:
+        if (plan.type, plan.n, plan.order) != (None, None, None):
+            raise ParameterDomainError("--type, --n and --order do not apply with --check")
         with open(plan.check) as fh:
             doc = _json_doc(fh.read())
         if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 1:
@@ -237,6 +239,8 @@ def _cmd_design(plan) -> int:
 
 
 def _cmd_geom(plan) -> int:
+    if plan.k is not None and plan.op != "dvnk":
+        raise ParameterDomainError(f"--k applies to --op dvnk only, not {plan.op}")
     n = plan.n
     if n > geometry.POINT_CAP:  # refused before a point is sampled or scanned
         raise ParameterDomainError(f"geom is declared for n <= {geometry.POINT_CAP} points, "

@@ -5,26 +5,27 @@ vertices of color i+1); its certificate is the graph's header() plus the
 classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
 on bitsets: one pass over the class members gives each class as a mask of
-vertex indices, and the graph's class_unions() gives the vertices adjacent
-to each class (on K(n,k) from the point stars, k ORs and one AND per
-member): no edge is listed, and no neighbourhood formed but that of the
-proper witness.
+vertex indices, then one walk in color order takes from the graph's
+class_unions() the vertices adjacent to each class (on K(n,k) from the point
+stars, k ORs and one AND per member), one union live at a time, and keeps a
+running mask per check.  No edge is listed, and a neighbourhood is formed
+only for the vertex of a proper or Grundy witness.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 from math import comb
-from operator import and_, or_
 
 from .errors import CertificateError, CoverageError, ParameterDomainError
 from .kneser import KneserGraph, MatchingGraph, bit_indices, bitset, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
-BITSET_CAP = 447 * 200_000  # classes x vertices of matching_coloring(100000), the largest
+# bounds the class masks, at most classes x vertices bits; the largest a
+# declared constructor emits is matching_coloring(100000)'s
+BITSET_CAP = 447 * 200_000
 
 
 @dataclass(frozen=True)
@@ -129,53 +130,29 @@ class VerificationReport:
     def as_dict(self):
         return {"color_count": self.color_count, "proper": self.proper,
                 "complete": self.complete, "grundy": self.grundy,
-                "dominating": self.dominating,
-                "witnesses": {k: list(map(_jsonable, w)) if isinstance(w, tuple) else w
-                              for k, w in self.witnesses.items()},
+                "dominating": self.dominating, "witnesses": dict(self.witnesses),
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())}}
-
-
-def _jsonable(x):
-    return list(x) if isinstance(x, tuple) else x
-
-
-def _incomplete_pair(masks, unions, cls_of):
-    """The least class pair (a, b), a < b, 1-based, with U_a & M_b == 0, or None.
-
-    Class b can miss U_a only if its leader (lowest vertex) lies outside U_a.
-    `leaders` holds the leaders of the classes above a, so its bits outside
-    U_a are the only candidates; most classes have none, and the others'
-    are tested in class order, which is not leader order.
-    """
-    leaders = 0
-    for m in masks:
-        leaders |= m & -m
-    for a in range(len(masks) - 1):
-        leaders ^= masks[a] & -masks[a]
-        cand = leaders & ~unions[a]
-        if cand:
-            for b in sorted(cls_of[i] for i in bit_indices(cand)):
-                if not unions[a] & masks[b]:
-                    return a + 1, b + 1
-    return None
 
 
 def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
     """Exhaustively verify the requested properties of a coloring on its graph.
 
     One pass over the class members gives each vertex's class and each class
-    c as a mask M_c; the graph (any of the kneser.Graph protocol) gives U_c,
-    the vertices adjacent to a member, from class_unions().  Then
-    proper is M_c & U_c == 0; complete is U_a & M_b != 0 (a < b); grundy is
-    proper and (M_{b+1} | ... | M_l) & ~U_b == 0; dominating is
-    M_c & (the U_b, b != c, intersected) != 0.  On K(n,k) this costs O(V*k)
-    big-int operations; only proper and grundy form a neighbourhood (the
-    proper witness's).  Completeness tests the classes above a whose lowest
-    vertex lies outside U_a (on a matching, whose U_a is sparse, O(l^2)).
-    Witnesses are the first violation in colex index order: the same-class
-    adjacent pair least by (index u, index v); the least class pair; the
-    first vertex with its lowest missing color (the proper witness if
-    improper); the first class.
+    c as a mask M_c.  One walk in color order then takes U_c, the vertices
+    adjacent to a member, from the graph's class_unions() (any of the
+    kneser.Graph protocol), one union live at a time, and keeps a running
+    mask per requested check: proper, bad |= M_c & U_c; grundy,
+    late |= M_c & ~below, then below &= U_c (below starts as every vertex);
+    dominating, ruling &= U_c | M_c, as a vertex sees every class but its
+    own, class c dominates iff M_c & ruling; complete, the classes above c
+    whose leader (lowest vertex) lies outside U_c are the only ones that can
+    miss it (on a matching, whose U_c is sparse, O(l^2) tests in all).  On
+    K(n,k) this costs O(V*k) big-int operations.  Witnesses are the first
+    violation in colex index order: the least vertex in bad with its least
+    same-class neighbour, from its one-vertex union (by symmetry it starts
+    the least pair); the first class pair the walk finds; the proper witness
+    if improper, else the least vertex in late with the least lower color
+    its one-vertex union misses; the first class with M_c & ruling empty.
     """
     checks = frozenset(checks)
     unknown = checks - ALL_CHECKS
@@ -199,18 +176,41 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     if None in cls_of:
         missing = g.vertices[cls_of.index(None)]
         raise CoverageError(f"classes do not cover vertices, first missing {missing}")
-    unions = g.class_unions(coloring.classes)
-    l = coloring.color_count
-    rep = VerificationReport(color_count=l, class_histogram=coloring.class_histogram())
+    rep = VerificationReport(color_count=coloring.color_count,
+                             class_histogram=coloring.class_histogram())
 
-    # adjacency is symmetric, so the least vertex seen by its own class is
-    # the least i with a same-class neighbour: it starts the least pair
-    bad = reduce(or_, map(and_, masks, unions), 0) if checks & {"proper", "grundy"} else 0
+    seek_bad = bool(checks & {"proper", "grundy"})
+    grundy = "grundy" in checks
+    dominating = "dominating" in checks
+    leaders = 0  # non-zero while the completeness test still has candidates
+    if "complete" in checks:
+        for m in masks:
+            leaders |= m & -m
+    pair = None
+    bad = late = 0
+    below = ruling = -1
+    for a, (mask, union) in enumerate(zip(masks, g.class_unions(coloring.classes))):
+        if seek_bad:
+            bad |= mask & union
+        if grundy:
+            late |= mask ^ (mask & below)  # not & ~below: no negative int
+            below &= union
+        if dominating:
+            ruling &= union | mask
+        if leaders:
+            leaders ^= mask & -mask
+            cand = leaders ^ (leaders & union)
+            if cand:
+                for b in sorted(cls_of[i] for i in bit_indices(cand)):
+                    if not union & masks[b]:
+                        pair, leaders = (a + 1, b + 1), 0
+                        break
+
     proper_witness = None
     if bad:
         i = next(bit_indices(bad))
-        mates = g.class_unions(((g.vertices[i],),))[0] & masks[cls_of[i]]
-        proper_witness = (g.vertices[i], g.vertices[next(bit_indices(mates))])
+        [nbrs] = g.class_unions(((g.vertices[i],),))
+        proper_witness = (g.vertices[i], g.vertices[next(bit_indices(nbrs & masks[cls_of[i]]))])
 
     if "proper" in checks:
         rep.proper = proper_witness is None
@@ -218,39 +218,25 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
             rep.witnesses["proper"] = proper_witness
 
     if "complete" in checks:
-        pair = _incomplete_pair(masks, unions, cls_of)
         rep.complete = pair is None
         if pair:
             rep.witnesses["complete"] = pair
 
-    if "grundy" in checks:
+    if grundy:
+        rep.grundy = not (bad or late)
         if proper_witness:
-            rep.grundy = False
             rep.witnesses["grundy"] = proper_witness
-        else:
-            late = 0  # vertices missing a color below their own
-            above = 0
-            for b in range(l - 1, -1, -1):
-                late |= above & ~unions[b]
-                above |= masks[b]
-            rep.grundy = not late
-            if late:
-                i = next(bit_indices(late))
-                missing = next(a for a in range(cls_of[i]) if not (unions[a] >> i) & 1)
-                rep.witnesses["grundy"] = (g.vertices[i], missing + 1)
+        elif late:
+            i = next(bit_indices(late))
+            [nbrs] = g.class_unions(((g.vertices[i],),))
+            missing = next(a for a in range(cls_of[i]) if not nbrs & masks[a])
+            rep.witnesses["grundy"] = (g.vertices[i], missing + 1)
 
-    if "dominating" in checks:
-        rep.dominating = True
-        after = [-1] * (l + 1)  # after[c]: the vertices that see every class >= c
-        for c in range(l - 1, -1, -1):
-            after[c] = after[c + 1] & unions[c]
-        before = -1
-        for c in range(l):
-            if not masks[c] & before & after[c + 1]:
-                rep.dominating = False
-                rep.witnesses["dominating"] = c + 1
-                break
-            before &= unions[c]
+    if dominating:
+        c = next((c for c, m in enumerate(masks) if not m & ruling), None)
+        rep.dominating = c is None
+        if c is not None:
+            rep.witnesses["dominating"] = c + 1
 
     return rep
 

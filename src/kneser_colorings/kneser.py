@@ -58,11 +58,12 @@ class Graph:
     ForeignVertexError) and two adjacency methods, each the other's default,
     so a graph overrides exactly one of them: adjacency_bitsets(), each
     vertex's neighbour bitset in index order (bit j of entry i is set iff
-    vertices i and j are adjacent), and class_unions(classes), the union of
-    each class's rows, all that verification reads.  K(n,k) and the matching
-    override class_unions, D_V(n,k) adjacency_bitsets.  edges() walks the
-    rows.  A graph that hosts a coloring also has a `name` for messages and
-    header(), its fields in a certificate (colorings.coloring_from_json).
+    vertices i and j are adjacent), and class_unions(classes), which yields
+    the union of each class's rows in class order, one at a time: all that
+    verification reads.  K(n,k) and the matching override class_unions,
+    D_V(n,k) adjacency_bitsets.  edges() walks the rows.  A graph that hosts
+    a coloring also has a `name` for messages and header(), its fields in a
+    certificate (colorings.coloring_from_json).
     """
 
     @property
@@ -71,13 +72,13 @@ class Graph:
 
     def adjacency_bitsets(self):
         """Per-vertex neighbour bitsets, as a list: the unions of the one-member classes."""
-        return self.class_unions((v,) for v in self.vertices)
+        return list(self.class_unions((v,) for v in self.vertices))
 
     def class_unions(self, classes):
-        """Per class of vertex labels, the bitset of the vertices adjacent to a
-        member: the OR of the members' rows of adjacency_bitsets()."""
+        """Yield, per class of vertex labels, the bitset of the vertices adjacent
+        to a member: the OR of the members' rows of adjacency_bitsets()."""
         rows = self.adjacency_bitsets()
-        return [reduce(or_, (rows[self.index(v)] for v in cls), 0) for cls in classes]
+        return (reduce(or_, (rows[self.index(v)] for v in cls), 0) for cls in classes)
 
     def edges(self):
         """Yield index pairs (i, j), i < j, of adjacent vertices, in index order."""
@@ -152,11 +153,10 @@ class KneserGraph(SubsetGraph):
         return comb(self.n - self.k, self.k)
 
     def class_unions(self, classes):
-        """A vertex sees no member of a class iff it meets them all, so the
-        union is ALL less the AND over members v of stars[x1] | ... | stars[xk]:
-        k big-int ORs and one AND per member."""
+        """Yield each class's union.  A vertex sees no member of a class iff it
+        meets them all, so the union is ALL less the AND over members v of
+        stars[x1] | ... | stars[xk]: k big-int ORs and one AND per member."""
         stars, full = self.stars, (1 << self.vertex_count) - 1
-        unions = []
         for cls in classes:
             met = full
             for v in cls:
@@ -164,8 +164,7 @@ class KneserGraph(SubsetGraph):
                 for x in v:
                     star |= stars[x]
                 met &= star
-            unions.append(full ^ met)
-        return unions
+            yield full ^ met
 
     def edge_count(self) -> int:
         return self.vertex_count * self.regular_degree // 2
@@ -223,8 +222,8 @@ class MatchingGraph(Graph):
         return i + self.m if i < self.m else i - self.m
 
     def class_unions(self, classes):
-        """Each class's partners, as one bitset per class."""
-        return [bitset([self._partner(v - 1) for v in cls]) for cls in classes]
+        """Yield each class's partners as a bitset."""
+        return (bitset([self._partner(v - 1) for v in cls]) for cls in classes)
 
 
 def lovasz_chromatic(n: int, k: int) -> int:

@@ -691,3 +691,33 @@ def test_cli_fuzz_exit_codes(tmp_path_factory):
         assert cli.main(argv) in (0, 1, 2)
 
     case()
+
+
+def test_design_check_refuses_construction_flags(tmp_path, capsys):
+    """--check reads the design from its file; --type, --n or --order beside it
+    would read as a check of that type, so each is refused, not ignored."""
+    from kneser_colorings import cli
+
+    path = tmp_path / "kts9.json"
+    assert cli.main(["design", "--type", "kts", "--n", "9", "--out", str(path)]) == 0
+    assert cli.main(["design", "--check", str(path)]) == 0
+    capsys.readouterr()
+    for flags in (["--type", "kts", "--n", "9"], ["--type", "sts"], ["--n", "9"],
+                  ["--order", "8"]):
+        assert cli.main(["design", "--check", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ParameterDomainError",
+            "message": "--type, --n and --order do not apply with --check"}
+
+
+@pytest.mark.parametrize("op", ["dv-coloring", "thrackle", "triangle-pairs"])
+def test_geom_k_outside_dvnk_exits_2(op, capsys):
+    from kneser_colorings import cli
+
+    assert cli.main(["geom", "--op", op, "--n", "7", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ParameterDomainError",
+                                        "message": f"--k applies to --op dvnk only, not {op}"}

@@ -1,10 +1,11 @@
 import json
 import random
+import tracemalloc
 from itertools import count
 
 import pytest
 
-from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring
+from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring, grundy_relabel
 from kneser_colorings import pseudoachromatic
 from kneser_colorings import colorings
 from kneser_colorings.bounds import max_colors_for_pairs
@@ -131,7 +132,6 @@ def test_perturbation_detected(seed):
 
 def test_grundy_flag_and_witness():
     g = build_kneser(6, 2)
-    from kneser_colorings.achromatic import grundy_relabel
     c = grundy_relabel(achromatic_coloring(6))
     rep = verify_coloring(Coloring(g, c.classes), checks={"grundy"})
     assert rep.grundy
@@ -342,7 +342,7 @@ def _pairwise_unions(g, adjacent, classes):
 @pytest.mark.parametrize("make", [m for _, m in _UNION_CASES],
                          ids=[name for name, _ in _UNION_CASES])
 def test_class_unions_match_the_neighbourhood_stream(make, monkeypatch):
-    """Each graph's class_unions() equals the unions formed from its per-pair
+    """Each graph's class_unions() yields the unions formed from its per-pair
     adjacency (on D_V, the hull test against the tangent rows), and so does
     every verdict and witness of a report; the random colorings fail each of
     the four checks."""
@@ -351,7 +351,9 @@ def test_class_unions_match_the_neighbourhood_stream(make, monkeypatch):
     failed = set()
     for mode in ("partition", "shuffled", "split") * 4:
         classes = _random_classes(list(g.vertices), adjacent, rng, mode)
-        assert g.class_unions(classes) == _pairwise_unions(g, adjacent, classes)
+        unions = g.class_unions(classes)
+        assert iter(unions) is unions  # yielded one class at a time
+        assert list(unions) == _pairwise_unions(g, adjacent, classes)
         coloring = Coloring(g, classes)
         rep = verify_coloring(coloring)
         with monkeypatch.context() as pairwise:
@@ -422,7 +424,8 @@ def test_kneser_verification_never_scans_edges(monkeypatch):
 def test_completeness_alone_forms_no_proper_witness(monkeypatch):
     """{"complete"} makes one class_unions() call even on an improper
     coloring; the one-vertex call that finds the proper witness is made
-    only when proper or grundy is asked for."""
+    only when proper or grundy is asked for, and a Grundy witness on a
+    proper coloring costs the walk and one one-vertex call, no second walk."""
     calls = []
     unions = KneserGraph.class_unions
 
@@ -440,6 +443,24 @@ def test_completeness_alone_forms_no_proper_witness(monkeypatch):
         rep = verify_coloring(coloring, checks)
         assert rep.witnesses == {check: ((1, 2, 3), (4, 5, 6)) for check in checks}
         assert calls == [2, 1]
+    relabelled = grundy_relabel(achromatic_coloring(9))
+    calls.clear()
+    rep = verify_coloring(relabelled, {"grundy"})
+    assert rep.witnesses == {"grundy": ((1, 4), 8)} and calls == [15, 1]
+
+
+def test_verification_holds_one_class_union_at_a_time():
+    """The walk keeps one union live: all four checks of psi_lower_coloring(129)
+    (4,128 classes on 8,256 vertices) peak far below the 11.5 MB that holding
+    every union took."""
+    coloring = pseudoachromatic.psi_lower_coloring(129)
+    tracemalloc.start()
+    try:
+        verify_coloring(coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
 
 
 def test_certify_returns_a_passing_coloring():
