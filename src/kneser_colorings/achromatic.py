@@ -12,10 +12,10 @@ count, condition (C)) and refuses to emit anything that fails.
 from __future__ import annotations
 
 from .bounds import alpha_upper_kn2
-from .colorings import Coloring, certify, check_condition_C
+from .colorings import Coloring, certify, check_condition_C, check_footprint
 from .designs import construct_sts, find_parallel_class, punctured_packing
 from .errors import CertificateError, ParameterDomainError, ShapeError
-from .kneser import build_kneser
+from .kneser import build_kneser, kneser_order
 
 # Optimal patterns for the small cases, frozen from the tiny exhaustive
 # searches kept in the test suite as regressions.
@@ -107,15 +107,14 @@ def _case4(n: int):
 
 
 def achromatic_coloring(n: int, grundy: bool = False) -> Coloring:
-    """A proper complete coloring of K(n,2) with alpha(K(n,2)) classes; 2 <= n <= 121.
+    """A proper complete coloring of K(n,2) with alpha(K(n,2)) classes; 2 <= n <= 180.
 
-    With grundy=True the classes come grundy_relabel()ed and the one
-    self-check also certifies the Grundy property.
+    The range is where the class bitsets fit in BITSET_CAP (check_footprint); the classes
+    come in grundy_relabel()'s order, so grundy=True only adds the Grundy self-check.
     """
     if n < 2:
         raise ParameterDomainError(f"achromatic construction needs n >= 2, got {n}")
-    if n > 121:
-        raise ParameterDomainError(f"achromatic construction is declared for n <= 121, got {n}")
+    check_footprint(alpha_upper_kn2(n), kneser_order(n, 2))
     if n == 3:
         classes = [((1, 2), (1, 3), (2, 3))]
     elif n == 4:
@@ -133,7 +132,6 @@ def achromatic_coloring(n: int, grundy: bool = False) -> Coloring:
     coloring = Coloring(build_kneser(n, 2), tuple(classes))
     checks = {"proper", "complete"}
     if grundy:
-        coloring = grundy_relabel(coloring)
         checks.add("grundy")
     coloring = certify(coloring, checks, count=alpha_upper_kn2(n))
     if n != 3:  # K(3,2) is edgeless; its single class has no accounting to satisfy

@@ -167,9 +167,10 @@ def bounds_table(n_max: int, k_max: int) -> list:
             bch = None
             if k >= 3 and n >= 2 * k:
                 bch = b_chromatic_lower(n, k)
-                if alpha_lo is None or bch > alpha_lo:
-                    alpha_lo = max(alpha_lo or 0, bch)
-                    notes.append("b-chromatic lower")
+                lower = max(bch, chi)  # alpha >= chi
+                if alpha_lo is None or lower > alpha_lo:
+                    alpha_lo = lower
+                    notes.append("b-chromatic lower" if bch == lower else "alpha >= chi")
             rows.append(BoundsRow(n=n, k=k, chi=chi, alpha_lower=alpha_lo,
                                   alpha_upper=alpha_hi, psi_lower=psi_lo,
                                   psi_upper=psi_hi2, psi_upper_improved=imp,

@@ -19,8 +19,7 @@ from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as ora
 from . import pseudoachromatic as pseudo
 from .colorings import (_field, _int_lists, _json_doc, check_condition_C, coloring_from_json,
                         verify_coloring)
-from .errors import (CertificateError, CoverageError, ForeignVertexError, ParameterDomainError,
-                     SearchExhaustedError, ShapeError, SizeCapError)
+from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
 from .kneser import KneserGraph, MatchingGraph, build_kneser, kneser_order
 
 # the --graph name of each certificate's graph type
@@ -300,8 +299,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return execute(plan)
-    except (ParameterDomainError, SizeCapError, ShapeError, CoverageError, ForeignVertexError,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ParameterDomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

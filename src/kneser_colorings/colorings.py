@@ -23,8 +23,8 @@ from .errors import CertificateError, CoverageError, ParameterDomainError
 from .kneser import KneserGraph, MatchingGraph, bit_indices, bitset, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
-# bounds the class masks, at most classes x vertices bits; the largest a
-# declared constructor emits is matching_coloring(100000)'s
+# bounds the class masks (classes x vertices bits, all that verification holds
+# but a few running masks): the declared range of every coloring built or read
 BITSET_CAP = 447 * 200_000
 
 
@@ -63,16 +63,21 @@ def _field(doc, key):
     return doc[key]
 
 
+def check_footprint(classes: int, order: int) -> None:
+    """Refuse, before anything is allocated, a coloring whose class bitsets
+    (classes x order bits) would exceed BITSET_CAP."""
+    if classes * order > BITSET_CAP:
+        raise ParameterDomainError(f"{classes} classes on {order} vertices exceed the "
+                                   f"declared class-bitset footprint of {BITSET_CAP} bits")
+
+
 def _covering(classes, order):
     """classes, unless they have too few members to cover the graph's order
-    vertices, or their bitsets (classes x vertices bits) would outgrow the
-    largest a declared constructor emits."""
+    vertices, or their footprint exceeds BITSET_CAP."""
     members = sum(map(len, classes))
     if order > members:
         raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
-    if len(classes) * order > BITSET_CAP:
-        raise ParameterDomainError(f"{len(classes)} classes on {order} vertices exceed the "
-                                   f"declared class-bitset footprint of {BITSET_CAP} bits")
+    check_footprint(len(classes), order)
     return classes
 
 

@@ -22,10 +22,10 @@ certified by the same resolution check.
 The four constructors (construct_sts, construct_kts, construct_design_21_5_1,
 c4_free_one_factorization) keep what they build for the life of the
 process, unlike build_kneser's graphs, because the constructions in one
-process reuse them: in the achromatic sweep n = 2..121, 40 Steiner systems
-serve 117 requests (STS(57) serves n = 56, 58, 59 and 61, STS(61) serves
+process reuse them: in the achromatic sweep n = 2..180, 60 Steiner systems
+serve 176 requests (STS(57) serves n = 56, 58, 59 and 61, STS(61) serves
 n = 60 and 63), STS(21) serves both D_V routes (n = 20 and 21), and KTS(21)
-is tripled into KTS(63).  They hold 2.3 MB at the end of that sweep.
+is tripled into KTS(63).  They hold 8.0 MB at the end of that sweep.
 """
 from __future__ import annotations
 

@@ -2,22 +2,22 @@
 
 
 class ParameterDomainError(ValueError):
-    """Input outside the domain a construction or formula is defined for."""
+    """Input outside the domain a construction or formula is defined for (CLI exit 2)."""
 
 
-class ForeignVertexError(ValueError):
+class ForeignVertexError(ParameterDomainError):
     """A vertex that does not belong to the graph it was used with."""
 
 
-class SizeCapError(ValueError):
+class SizeCapError(ParameterDomainError):
     """Instance exceeds an exact-search size cap."""
 
 
-class CoverageError(ValueError):
+class CoverageError(ParameterDomainError):
     """Color classes do not partition the vertex set."""
 
 
-class ShapeError(ValueError):
+class ShapeError(ParameterDomainError):
     """A class has the wrong size or shape for the requested operation."""
 
 

@@ -11,7 +11,7 @@ from math import comb
 
 from .achromatic import _pair
 from .bounds import max_colors_for_pairs, psi_lower_kn2
-from .colorings import Coloring, certify
+from .colorings import Coloring, certify, check_footprint
 from .designs import circle_factor, construct_design_21_5_1
 from .errors import ParameterDomainError
 from .kneser import MatchingGraph, build_kneser
@@ -35,11 +35,11 @@ def _factor_classes(t2: int, drop_infinity: bool = False):
 
 
 def psi_lower_coloring(n: int) -> Coloring:
-    """A complete coloring of K(n,2) with floor(C(n,2)/2) classes; 7 <= n <= 129."""
+    """A complete coloring of K(n,2) with floor(C(n,2)/2) classes; 7 <= n <= 164,
+    where the class bitsets fit in BITSET_CAP (check_footprint)."""
     if n < 7:
         raise ParameterDomainError(f"psi lower construction needs n >= 7, got {n}")
-    if n > 129:
-        raise ParameterDomainError(f"psi lower construction is declared for n <= 129, got {n}")
+    check_footprint(psi_lower_kn2(n), comb(n, 2))
     coloring = Coloring(build_kneser(n, 2), tuple(_psi_lower_classes(n)))
     return certify(coloring, {"complete"}, count=psi_lower_kn2(n))
 
@@ -105,15 +105,13 @@ def matching_coloring(m: int) -> Coloring:
     """Proper complete coloring of an m-edge matching with max_colors_for_pairs(m) colors.
 
     Edge t < C(r,2) gets the t-th color pair {i,j} (lexicographic); leftover
-    edges cycle through the pairs again.  Declared for 1 <= m <= 100,000,
-    since its self-verification grows as m^2; larger m raise
-    ParameterDomainError before any class is built.
+    edges cycle through the pairs again.  Declared for 1 <= m <= 100,000, where
+    the class bitsets fit in BITSET_CAP (exactly at the top; check_footprint).
     """
     if m < 1:
         raise ParameterDomainError(f"matching needs m >= 1 edges, got {m}")
-    if m > 100_000:
-        raise ParameterDomainError(f"matching coloring is declared for m <= 100000, got {m}")
     r = max_colors_for_pairs(m)
+    check_footprint(r, 2 * m)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
     classes = [[] for _ in range(r)]
     for t in range(m):
@@ -128,7 +126,7 @@ def kneser_matching_coloring(k: int) -> Coloring:
     """matching_coloring transported onto K(2k,k), whose edges pair complements.
 
     Declared for 1 <= k <= 10: K(2k,k) has m = C(2k-1,k-1) edges, and
-    matching_coloring refuses m above its cap (k >= 11) before K(2k,k) is built.
+    matching_coloring refuses m above 100,000 (k >= 11) before K(2k,k) is built.
     """
     if k < 1:
         raise ParameterDomainError(f"needs k >= 1, got {k}")

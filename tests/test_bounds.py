@@ -111,6 +111,14 @@ def test_table_internal_consistency():
             assert psi_lower_kn2(r.n) <= psi_upper_kn2(r.n)
 
 
+def test_alpha_lower_is_at_least_chi():
+    for r in bounds_table(60, 30):
+        assert r.alpha_lower is None or r.alpha_lower >= r.chi, r
+    odd = {(r.n, r.k): r for r in bounds_table(9, 4)}[(9, 4)]
+    assert (odd.chi, odd.alpha_lower, odd.b_chromatic_lower) == (3, 3, 2)
+    assert "alpha >= chi" in odd.notes.split(";")
+
+
 def test_csv_output():
     rows = bounds_table(10, 2)
     text = bounds_csv(rows)

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from kneser_colorings.bounds import alpha_upper_kn2, improved_psi_bound
+from kneser_colorings.errors import (CoverageError, ForeignVertexError, ParameterDomainError,
+                                     ShapeError, SizeCapError)
 from kneser_colorings.kneser import KneserGraph
 
 from conftest import as_lists, frees_what_it_makes
@@ -105,6 +107,19 @@ def test_domain_error_exits_2():
         r = run(*args)
         assert r.returncode == 2, args
         assert json.loads(r.stderr)["error"] == "ParameterDomainError", args
+
+
+@pytest.mark.parametrize("exc", [ForeignVertexError, SizeCapError, CoverageError, ShapeError])
+def test_domain_error_family_exits_2_under_its_own_name(exc, monkeypatch, capsys):
+    from kneser_colorings import cli
+
+    def fail(plan):
+        raise exc("refused")
+
+    assert issubclass(exc, ParameterDomainError)
+    monkeypatch.setitem(cli._DISPATCH, "bounds", fail)
+    assert cli.main(["bounds", "--n-max", "5"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": exc.__name__, "message": "refused"}
 
 
 def test_usage_error_exits_2():

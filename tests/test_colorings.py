@@ -1,14 +1,16 @@
 import json
 import random
 import tracemalloc
+from bisect import bisect_right
 from itertools import count
+from math import comb
 
 import pytest
 
 from kneser_colorings.achromatic import K52_PATTERN, achromatic_coloring, grundy_relabel
-from kneser_colorings import pseudoachromatic
+from kneser_colorings import achromatic, pseudoachromatic
 from kneser_colorings import colorings
-from kneser_colorings.bounds import max_colors_for_pairs
+from kneser_colorings.bounds import alpha_upper_kn2, max_colors_for_pairs, psi_lower_kn2
 from kneser_colorings.colorings import (ALL_CHECKS, Coloring, certify, check_condition_C,
                                         coloring_from_json, verify_coloring)
 from kneser_colorings.errors import CertificateError, CoverageError, ParameterDomainError
@@ -235,12 +237,50 @@ def test_to_json_matches_the_list_copy_encoding(make):
 
 
 def test_bitset_cap_admits_the_largest_declared_certificates():
-    # matching_coloring(100000) sits exactly at the cap; the largest K(n,2)
-    # colorings decode well below it
+    # the top of each declared range builds, self-certifies and decodes;
+    # matching_coloring(100000) sits exactly at the cap
     assert max_colors_for_pairs(100_000) * 200_000 == colorings.BITSET_CAP
-    for c in (achromatic_coloring(121), pseudoachromatic.psi_lower_coloring(129)):
-        assert c.color_count * c.graph.vertex_count < colorings.BITSET_CAP
+    for c in (achromatic_coloring(180), pseudoachromatic.psi_lower_coloring(164),
+              pseudoachromatic.matching_coloring(100_000)):
+        assert c.color_count * c.graph.vertex_count <= colorings.BITSET_CAP
         assert coloring_from_json(c.to_json()).classes == c.classes
+
+
+_CONSTRUCTORS = (achromatic_coloring, pseudoachromatic.psi_lower_coloring,
+                 pseudoachromatic.matching_coloring)
+
+
+@pytest.mark.parametrize("make,top", zip(_CONSTRUCTORS, (180, 164, 100_000)),
+                         ids=["alpha", "psi-lower", "matching"])
+def test_one_above_each_top_is_refused_before_a_graph_is_built(make, top, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built above the declared range")
+
+    monkeypatch.setattr(achromatic, "build_kneser", refuse)
+    monkeypatch.setattr(pseudoachromatic, "build_kneser", refuse)
+    monkeypatch.setattr(pseudoachromatic, "MatchingGraph", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterDomainError, match="exceed the declared class-bitset"):
+            make(top + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _top(footprint, lo):
+    """The largest x >= lo whose footprint(x), increasing in x, fits in BITSET_CAP."""
+    return lo - 1 + bisect_right(range(lo, 10**6), colorings.BITSET_CAP, key=footprint)
+
+
+def test_constructor_docstrings_state_the_range_the_cap_allows():
+    tops = (_top(lambda n: alpha_upper_kn2(n) * comb(n, 2), 2),
+            _top(lambda n: psi_lower_kn2(n) * comb(n, 2), 7),
+            _top(lambda m: max_colors_for_pairs(m) * 2 * m, 1))
+    assert tops == (180, 164, 100_000)
+    for make, top in zip(_CONSTRUCTORS, tops):
+        assert f"<= {top:,}" in make.__doc__, make.__name__
 
 
 def test_bitset_cap_is_checked_before_the_graph_is_built(monkeypatch):

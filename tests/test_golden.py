@@ -5,7 +5,9 @@ The digests are of the files `cli.main` writes with --out.  If a change is
 meant to alter one of these outputs, the new digest belongs in the same
 change, with the reason.  The 1f-c4free digests at orders 10, 22 and 46 are
 those of the doubling over Z_{t2/2} x {0,1}, which replaced a fixed K_10
-table and the starter search at the orders t2 = 10 (mod 12).  Every KTS
+table and the starter search at the orders t2 = 10 (mod 12).  The bounds
+digest is that of the table whose odd-graph rows K(2k+1,k), k >= 3, give
+alpha_lower = chi = 3 (alpha >= chi), not the b-chromatic 2.  Every KTS
 order that the rotational starter search builds, 21 to 129, is pinned;
 construct_kts is cached, so in one session these reuse the builds of
 tests/test_designs.py.
@@ -78,7 +80,7 @@ GOLDEN = {
     "geom --op dv-coloring --layout convex --n 22":
         "ed9a284c8119f39fb14e30e3280e4a312316af2166c9e5a223fa0d9b9cf48394",
     "bounds --n-max 60 --k-max 5":
-        "560e8346b8061a83c8a533a16bc0d5a60323795203294ec3a846096dfbeed100",
+        "57a31be1db3c725a6d5569f76c3a37933202926a16e0b2c9f1c3e1aa2c62fcea",
     "export --format dot --n 10 --k 2":
         "9ba346693ab2ca9b07aab008567622364ee228d748fe48c13ac253bad22cdf31",
     "export --format json --n 10 --k 2":

@@ -201,9 +201,9 @@ def test_held_graph_is_shared_by_every_call():
 
 def test_sweeps_leave_no_graph_alive():
     with frees_what_it_makes(KneserGraph):
-        for n in range(2, 122):
+        for n in range(2, 181):
             achromatic_coloring(n)
-        for n in range(7, 130):
+        for n in range(7, 165):
             psi_lower_coloring(n)
 
 

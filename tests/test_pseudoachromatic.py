@@ -44,7 +44,7 @@ def test_lower_bound_rejects_small_n():
 def test_lower_bound_covers_all_vertices():
     # n = 52, 54 and 57 once needed 4-cycle-free factorizations of K_52 and K_58,
     # whose search runs out of budget
-    for n in (*range(7, 65), 100, 120, 129):  # 129 tops the declared range
+    for n in (*range(7, 65), 100, 120, 129, 164):  # 164 tops the declared range
         c = psi_lower_coloring(n)
         assert c.color_count == comb(n, 2) // 2
         verts = sorted(v for cls in c.classes for v in cls)
@@ -90,7 +90,7 @@ def test_matching_sweep():
     10,000 and its declared cap 100,000, and refuses m above the cap."""
     for m in (*range(1, 301), 1000, 10_000, 100_000):
         assert matching_coloring(m).color_count == max_colors_for_pairs(m), m
-    with pytest.raises(ParameterDomainError, match="m <= 100000"):
+    with pytest.raises(ParameterDomainError, match="447 classes on 200002 vertices"):
         matching_coloring(100_001)
 
 
@@ -129,7 +129,7 @@ def test_kneser_matching_refuses_k_above_10_before_building(k, monkeypatch):
     monkeypatch.setattr(pseudoachromatic, "build_kneser", refuse)
     tracemalloc.start()
     try:
-        with pytest.raises(ParameterDomainError, match="m <= 100000"):
+        with pytest.raises(ParameterDomainError, match="exceed the declared class-bitset"):
             kneser_matching_coloring(k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
