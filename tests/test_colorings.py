@@ -2,7 +2,7 @@ import json
 import random
 import tracemalloc
 from bisect import bisect_right
-from itertools import count
+from itertools import chain, count
 from math import comb
 
 import pytest
@@ -13,7 +13,8 @@ from kneser_colorings import colorings
 from kneser_colorings.bounds import alpha_upper_kn2, max_colors_for_pairs, psi_lower_kn2
 from kneser_colorings.colorings import (ALL_CHECKS, Coloring, certify, check_condition_C,
                                         coloring_from_json, verify_coloring)
-from kneser_colorings.errors import CertificateError, CoverageError, ParameterDomainError
+from kneser_colorings.errors import (CertificateError, CoverageError, ForeignVertexError,
+                                     ParameterDomainError)
 from kneser_colorings.geometry import (build_dv, convex_position_points, dv_achromatic_coloring,
                                        dvnk_lower_coloring, random_general_position)
 from kneser_colorings.kneser import KneserGraph, MatchingGraph, bitset, build_kneser
@@ -68,6 +69,77 @@ def test_completeness_witness_when_leaders_run_against_class_order():
     rep = verify_coloring(Coloring(g, classes), checks={"complete"})
     assert (rep.complete, rep.witnesses) == (False, {"complete": (1, 2)})
     assert brute_complete(classes, kneser_adjacent) == (False, (1, 2))
+
+
+def _kneser_misses_two_later_classes():
+    """K(8,2): class 2, the star 12, 13, 14, sees neither class 3 = {17} nor
+    class 4 = {15}; every other class pair meets."""
+    g = build_kneser(8, 2)
+    named = ((2, 3),), ((1, 2), (1, 3), (1, 4)), ((1, 7),), ((1, 5),)
+    rest = tuple(v for v in g.vertices if v not in set(chain.from_iterable(named)))
+    return g, kneser_adjacent, (*named, rest), (2, 3, 4)
+
+
+def _matching_misses_two_later_classes():
+    """Matching of 6 edges: class 1 = {1} sees only the class of its partner
+    7, so it misses class 2 = {5} and class 3 = {3}."""
+    classes = (1,), (5,), (3,), (2, 4, 6, 7, 8, 9, 10, 11, 12)
+    return MatchingGraph(6), lambda u, v: abs(u - v) == 6, classes, (1, 2, 3)
+
+
+@pytest.mark.parametrize("make", [_kneser_misses_two_later_classes,
+                                  _matching_misses_two_later_classes], ids=["K(8,2)", "matching(6)"])
+def test_completeness_witness_is_the_least_missing_class(make):
+    """Class a misses the later classes b1 < b2, whose leaders (lowest
+    vertices) come in the opposite index order; the witness is (a, b1)."""
+    g, adjacent, classes, (a, b1, b2) = make()
+
+    def leader(c):
+        return min(map(g.index, classes[c - 1]))
+
+    def sees(c, d):
+        return any(adjacent(u, v) for u in classes[c - 1] for v in classes[d - 1])
+
+    assert leader(b2) < leader(b1) and not sees(a, b1) and not sees(a, b2)
+    rep = verify_coloring(Coloring(g, classes), checks={"complete"})
+    assert (rep.complete, rep.witnesses) == (False, {"complete": (a, b1)})
+    assert brute_complete(classes, adjacent) == (False, (a, b1))
+
+
+_MASK_PASS_CASES = {
+    "K(7,3)": lambda: (build_kneser(7, 3), (1, 2, 9), "{} is not a vertex of K(7,3)"),
+    "D_V(8,3)": lambda: (build_dv(convex_position_points(8), 3), (1, 2, 9),
+                         "{} is not a vertex of K(8,3)"),
+    "matching(6)": lambda: (MatchingGraph(6), 13, "vertex {} outside matching of size 6"),
+}
+
+
+@pytest.mark.parametrize("make", _MASK_PASS_CASES.values(), ids=_MASK_PASS_CASES.keys())
+def test_mask_pass_takes_list_labels_and_reports_the_first_fault_in_scan_order(make):
+    """Labels and classes given as lists verify as tuples do; a foreign label
+    raises ForeignVertexError, and a repeated one CoverageError naming the
+    first repeat in scan order, each with the label as given."""
+    g, foreign, foreign_message = make()
+    classes = [list(g.vertices[i::5]) for i in range(5)]
+    rep = verify_coloring(Coloring(g, tuple(map(tuple, classes))))
+    assert verify_coloring(Coloring(g, as_lists(classes))) == rep
+    assert rep.witnesses
+    for form in (lambda x: x, as_lists):  # as_lists turns tuple labels into lists
+        bad = [cls[:1] + [foreign] + cls[1:] if c == 1 else cls for c, cls in enumerate(classes)]
+        with pytest.raises(ForeignVertexError) as err:
+            verify_coloring(Coloring(g, form(bad)))
+        assert str(err.value) == foreign_message.format(form(foreign))
+        # the copy in class 3 repeats first: the original of class 4's copy comes later
+        first, later = classes[0][1], classes[3][0]
+        bad = [cls + [first] if c == 2 else [later] + cls if c == 1 else cls
+               for c, cls in enumerate(classes)]
+        with pytest.raises(CoverageError) as err:
+            verify_coloring(Coloring(g, form(bad)))
+        assert str(err.value) == f"vertex {form(first)} appears in two classes"
+        for tail, error in (([first, foreign], CoverageError), ([foreign, first], ForeignVertexError)):
+            bad = [cls + tail if c == 2 else cls for c, cls in enumerate(classes)]
+            with pytest.raises(error):
+                verify_coloring(Coloring(g, form(bad)))
 
 
 def _tampered(classes, rng):

@@ -10,9 +10,11 @@ digest is that of the table whose odd-graph rows K(2k+1,k), k >= 3, give
 alpha_lower = chi = 3 (alpha >= chi), not the b-chromatic 2.  Every KTS
 order that the rotational starter search builds, 21 to 129, is pinned;
 construct_kts is cached, so in one session these reuse the builds of
-tests/test_designs.py.
+tests/test_designs.py.  The psi-lower digests cover every route of n mod 4,
+and the verify digest is that of a report with a witness for every check.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -67,6 +69,18 @@ GOLDEN = {
         "7a30247be6839b21a1e32dce99c7b927ef911f8775322bbf8f5feb3b8ad3bfee",
     "construct --family kn2-psi-tight --n 20":
         "5d4c387daa6518920ae0d536d810870532596a05c3be2b68cdfc51a2febe3bc8",
+    "construct --family kn2-psi-lower --n 7":
+        "0e90a1c56fe66592a16b518cdf8bee4ce342c8cdb4a42b78fb4e4481034a33dc",
+    "construct --family kn2-psi-lower --n 8":
+        "87df67d32accd1424ffd42d866ec50ae5914bfa0226d0be8b30144b89fd2a55e",
+    "construct --family kn2-psi-lower --n 9":
+        "6120288123e46690c6a47940a42c20f7e84fafa3639bf0da7cce4bd0f9692063",
+    "construct --family kn2-psi-lower --n 10":
+        "489ddbfe0c0e7c622ef0c19949d65f208a0130aa37096f1d1f5c95999f846cee",
+    "construct --family kn2-psi-lower --n 44":
+        "5bab5c38ad4abe4c1438f4bc719cefb305630fb4bb2715f0f92a1bc98f3c8eaa",
+    "construct --family matching --m 37":
+        "1d8733a595f9c4db08974c9399c75b9250a7d5f780ff4a26a54064fabf5e4a3a",
     "construct --family kn2-achromatic --n 10":
         "5a8b693a7482b00fa75d269db9d97d84e75a49768e7fc05cd1f659d41bcf5c53",
     "construct --family kn2-achromatic --n 13":
@@ -79,6 +93,10 @@ GOLDEN = {
         "8c3385b3b8f5033d210489f97da08873fef24a7590b9b13e3791bed01484a557",
     "geom --op dv-coloring --layout convex --n 22":
         "ed9a284c8119f39fb14e30e3280e4a312316af2166c9e5a223fa0d9b9cf48394",
+    "geom --op dvnk --n 16 --k 3 --layout convex":
+        "9036766d8d84eabaf8fb40b81c4bc77f50f783f400354c3dd0195a04ac09059a",
+    "geom --op triangle-pairs --n 12 --layout convex":
+        "d5fd04548f6b4e1345c9d7abf5b745cbdef782af34a514c77db522e2af4c17ca",
     "bounds --n-max 60 --k-max 5":
         "57a31be1db3c725a6d5569f76c3a37933202926a16e0b2c9f1c3e1aa2c62fcea",
     "export --format dot --n 10 --k 2":
@@ -93,6 +111,29 @@ def test_cli_output_digest_is_pinned(command, tmp_path):
     out = tmp_path / "out"
     assert cli.main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command]
+
+
+TAMPERED_REPORT = "246fc82825cf92fc2b9f1e33e6491b893e0196df61236a89f1cbe11d9704f6d5"
+
+
+def test_verify_report_on_a_tampered_certificate_is_pinned(tmp_path):
+    """The construct --n 10 certificate of K(10,2) with the last member of
+    class 1 moved into the last class and that of class 2 split off into a
+    class of its own: the report names a witness for every check."""
+    cert = tmp_path / "cert.json"
+    assert cli.main(f"construct --family kn2-achromatic --n 10 --out {cert}".split()) == 0
+    doc = json.loads(cert.read_text())
+    classes = doc["classes"]
+    classes[-1].append(classes[0].pop())
+    classes.append([classes[1].pop()])
+    cert.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    checks = "proper,complete,grundy,dominating,condition-c"
+    assert cli.main(["verify", "--checks", checks, "--coloring", str(cert), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert set(report["witnesses"]) == {"proper", "complete", "grundy", "dominating"}
+    assert report["condition_c"]["passes"] is False
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TAMPERED_REPORT
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])
