@@ -4,22 +4,23 @@ A coloring is its host graph and its color classes (class i holds the
 vertices of color i+1); its certificate is the graph's header() plus the
 classes.  Verification is exhaustive and reports the first witness of
 every violated property, in canonical (colex index) vertex order.  It works
-on bitsets: one pass over the class members gives each class as a mask of
-vertex indices, then one walk in color order takes from the graph's
-class_unions() the vertices adjacent to each class (on K(n,k) from the point
-stars, k ORs and one AND per member), one union live at a time, and keeps a
-running mask per check.  No edge is listed, and a neighbourhood is formed
-only for the vertex of a proper or Grundy witness.
+on bitsets: one lookup of every label in the graph's index table gives each
+class as a mask of vertex indices, then one walk in color order takes from
+the graph's class_unions() the vertices adjacent to each class (on K(n,k)
+from the point stars, k ORs and one AND per member), one union live at a
+time, and keeps a running mask per check.  No edge is listed, and a
+neighbourhood is formed only for the vertex of a proper or Grundy witness.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from math import comb
 
-from .errors import CertificateError, CoverageError, ParameterDomainError
+from .errors import CertificateError, CoverageError, ForeignVertexError, ParameterDomainError
 from .kneser import KneserGraph, MatchingGraph, bit_indices, bitset, build_kneser, kneser_order
 
 ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
@@ -42,7 +43,8 @@ class Coloring:
         return Counter(map(len, self.classes))
 
     def to_json(self) -> str:
-        return json.dumps({**self.graph.header(), "classes": self.classes}, sort_keys=True)
+        return json.dumps({**self.graph.header(), "classes": self.classes}, sort_keys=True,
+                          check_circular=False)
 
 
 def _int_lists(x, what, depth=2):
@@ -139,11 +141,32 @@ class VerificationReport:
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())}}
 
 
+def _class_masks(g, classes) -> list:
+    """Each class's vertex mask, from one g.indices() lookup of every label.  They
+    partition the V vertices iff none is empty, there are V members and the masks
+    sum to 2^V - 1 (V powers of two do only if they differ); else a scan raises."""
+    with suppress(ForeignVertexError):  # the scan below names it, or an earlier fault
+        found = g.indices(chain.from_iterable(classes))
+        masks = [bitset(found[s:e]) for s, e in pairwise(accumulate(map(len, classes), initial=0))]
+        if 0 not in masks and len(found) == g.vertex_count and sum(masks) == (1 << len(found)) - 1:
+            return masks
+    seen = set()
+    for ci, cls in enumerate(classes):
+        if not cls:
+            raise CoverageError(f"class {ci + 1} is empty")
+        for v, i in zip(cls, map(g.index, cls)):
+            if i in seen:
+                raise CoverageError(f"vertex {v} appears in two classes")
+            seen.add(i)
+    missing = g.vertices[min(set(range(g.vertex_count)) - seen)]
+    raise CoverageError(f"classes do not cover vertices, first missing {missing}")
+
+
 def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport:
     """Exhaustively verify the requested properties of a coloring on its graph.
 
-    One pass over the class members gives each vertex's class and each class
-    c as a mask M_c.  One walk in color order then takes U_c, the vertices
+    One g.indices() lookup of all labels gives each class c as a mask M_c
+    (_class_masks).  One walk in color order then takes U_c, the vertices
     adjacent to a member, from the graph's class_unions() (any of the
     kneser.Graph protocol), one union live at a time, and keeps a running
     mask per requested check: proper, bad |= M_c & U_c; grundy,
@@ -151,11 +174,12 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     dominating, ruling &= U_c | M_c, as a vertex sees every class but its
     own, class c dominates iff M_c & ruling; complete, the classes above c
     whose leader (lowest vertex) lies outside U_c are the only ones that can
-    miss it (on a matching, whose U_c is sparse, O(l^2) tests in all).  On
-    K(n,k) this costs O(V*k) big-int operations.  Witnesses are the first
-    violation in colex index order: the least vertex in bad with its least
-    same-class neighbour, from its one-vertex union (by symmetry it starts
-    the least pair); the first class pair the walk finds; the proper witness
+    miss it (on a matching, whose U_c is sparse, O(l^2) tests in all); their
+    leaders are walked from the highest down, keeping the least that misses
+    c.  On K(n,k) this costs O(V*k) big-int operations.  Witnesses are the
+    first violation in colex index order: the least vertex in bad with its
+    least same-class neighbour, from its one-vertex union (by symmetry it
+    starts the least pair); the first class pair the walk finds; the proper witness
     if improper, else the least vertex in late with the least lower color
     its one-vertex union misses; the first class with M_c & ruling empty.
     """
@@ -164,23 +188,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     if unknown:
         raise ParameterDomainError(f"unknown checks {sorted(unknown)}")
     g = coloring.graph
-    index = g.index
-    cls_of = [None] * g.vertex_count
-    masks = []
-    for ci, cls in enumerate(coloring.classes):
-        if not cls:
-            raise CoverageError(f"class {ci + 1} is empty")
-        members = []
-        for v in cls:
-            i = index(v)
-            if cls_of[i] is not None:
-                raise CoverageError(f"vertex {v} appears in two classes")
-            cls_of[i] = ci
-            members.append(i)
-        masks.append(bitset(members))
-    if None in cls_of:
-        missing = g.vertices[cls_of.index(None)]
-        raise CoverageError(f"classes do not cover vertices, first missing {missing}")
+    masks = _class_masks(g, coloring.classes)
     rep = VerificationReport(color_count=coloring.color_count,
                              class_histogram=coloring.class_histogram())
 
@@ -189,8 +197,8 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     dominating = "dominating" in checks
     leaders = 0  # non-zero while the completeness test still has candidates
     if "complete" in checks:
-        for m in masks:
-            leaders |= m & -m
+        leader_class = {(m & -m).bit_length() - 1: c for c, m in enumerate(masks)}
+        leaders = bitset(list(leader_class))
     pair = None
     bad = late = 0
     below = ruling = -1
@@ -205,17 +213,21 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
         if leaders:
             leaders ^= mask & -mask
             cand = leaders ^ (leaders & union)
-            if cand:
-                for b in sorted(cls_of[i] for i in bit_indices(cand)):
-                    if not union & masks[b]:
-                        pair, leaders = (a + 1, b + 1), 0
-                        break
+            low = (cand & -cand).bit_length() - 1 if cand else 0
+            cand >>= low  # the walk's ints then span the candidates only
+            while cand:  # from the highest leader down, keeping the least missing class
+                i = cand.bit_length() - 1
+                cand ^= 1 << i
+                b = leader_class[low + i] + 1
+                if (pair is None or b < pair[1]) and not union & masks[b - 1]:
+                    pair, leaders = (a + 1, b), 0
 
     proper_witness = None
     if bad:
         i = next(bit_indices(bad))
         [nbrs] = g.class_unions(((g.vertices[i],),))
-        proper_witness = (g.vertices[i], g.vertices[next(bit_indices(nbrs & masks[cls_of[i]]))])
+        same = next(m for m in masks if m >> i & 1)  # the mask of vertex i's class
+        proper_witness = (g.vertices[i], g.vertices[next(bit_indices(nbrs & same))])
 
     if "proper" in checks:
         rep.proper = proper_witness is None
@@ -234,7 +246,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
         elif late:
             i = next(bit_indices(late))
             [nbrs] = g.class_unions(((g.vertices[i],),))
-            missing = next(a for a in range(cls_of[i]) if not nbrs & masks[a])
+            missing = next(a for a, m in enumerate(masks) if not nbrs & m)  # proper: below i's
             rep.witnesses["grundy"] = (g.vertices[i], missing + 1)
 
     if dominating:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .achromatic import _map_pattern, _triangle_class
@@ -141,7 +141,7 @@ class DisjointnessGraph(SubsetGraph):
     """D_V(n,k): k-subsets of the labels, adjacent iff their hulls are disjoint.
 
     D_V(n,k) is a spanning subgraph of K(n,k) and shares its vertex model
-    (kneser.SubsetGraph): the same colex vertex tuple, index() and point
+    (kneser.SubsetGraph): the same colex vertex tuple, indices() and point
     stars; only the adjacency differs, and so K(n,k)'s closed-form counts
     (regular_degree, edge_count) are not defined here.
 
@@ -180,9 +180,11 @@ class DisjointnessGraph(SubsetGraph):
             rows = [0] * self.vertex_count
             for a in range(1, n + 1):
                 tangent = [0] * (n + 1)
-                for b in bit_indices(labels ^ (1 << a)):
-                    off = 0
-                    for y in bit_indices((labels & ~left[b][a]) ^ (1 << b)):
+                for b in chain(range(1, a), range(a + 1, n + 1)):
+                    off, outside = 0, (labels & ~left[b][a]) ^ (1 << b)
+                    while outside:  # label masks have a few bits: walk them from the top
+                        y = outside.bit_length() - 1
+                        outside ^= 1 << y
                         off |= stars[y]
                     tangent[b] = stars[b] & ~off
                 for i in bit_indices(stars[a]):
@@ -191,7 +193,9 @@ class DisjointnessGraph(SubsetGraph):
                         if x != a:
                             wedge &= left[x][a]
                     row = rows[i]
-                    for b in bit_indices(wedge):
+                    while wedge:
+                        b = wedge.bit_length() - 1
+                        wedge ^= 1 << b
                         row |= tangent[b]
                     rows[i] = row
             self._adj = rows
@@ -264,7 +268,7 @@ def triangle_pair_check(ps: PointSet) -> TrianglePairReport:
     bad = []
     tris = list(combinations(range(1, n + 1), 3))
     points = [(1 << x) | (1 << y) | (1 << z) for x, y, z in tris]
-    tri_edges = [[g.index(e) for e in combinations(t, 2)] for t in tris]
+    tri_edges = [g.indices(combinations(t, 2)) for t in tris]
     tri_mask = [sum(1 << e for e in es) for es in tri_edges]
     # the edges disjoint from at least one edge of each triangle
     missed = [disj[e] | disj[f] | disj[h] for e, f, h in tri_edges]

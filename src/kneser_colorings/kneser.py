@@ -21,7 +21,8 @@ from .errors import ForeignVertexError, ParameterDomainError
 
 
 def bit_indices(bits: int):
-    """Yield the positions of the set bits of a non-negative int, lowest first."""
+    """Yield the positions of the set bits of an int >= 0, lowest first, via one bin()
+    string: for many set bits.  For a few, walk down: i = bits.bit_length() - 1; bits ^= 1 << i."""
     digits = bin(bits)[:1:-1]  # least significant digit first
     i = digits.find("1")
     while i >= 0:
@@ -54,21 +55,24 @@ def kneser_order(n: int, k: int) -> int:
 class Graph:
     """The graph protocol that verification and the oracles use.
 
-    A graph has `vertices` in index order, index() (raising
-    ForeignVertexError) and two adjacency methods, each the other's default,
-    so a graph overrides exactly one of them: adjacency_bitsets(), each
-    vertex's neighbour bitset in index order (bit j of entry i is set iff
-    vertices i and j are adjacent), and class_unions(classes), which yields
-    the union of each class's rows in class order, one at a time: all that
-    verification reads.  K(n,k) and the matching override class_unions,
-    D_V(n,k) adjacency_bitsets.  edges() walks the rows.  A graph that hosts
-    a coloring also has a `name` for messages and header(), its fields in a
-    certificate (colorings.coloring_from_json).
+    A graph has `vertices` in index order, indices(labels) (one pass over its
+    index table, raising ForeignVertexError at the first label that is no
+    vertex), index(v) and two adjacency methods, each the other's default, so
+    a graph overrides exactly one: adjacency_bitsets(), each vertex's
+    neighbour bitset in index order (bit j of entry i is set iff vertices i
+    and j are adjacent), and class_unions(classes), which yields the union of
+    each class's rows in class order, one at a time: all that verification
+    reads.  K(n,k) and the matching override class_unions, D_V(n,k)
+    adjacency_bitsets.  edges() walks the rows.  A graph that hosts a
+    coloring also has a `name` and header(), its certificate fields.
     """
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+    def index(self, v) -> int:
+        return self.indices((v,))[0]
 
     def adjacency_bitsets(self):
         """Per-vertex neighbour bitsets, as a list: the unions of the one-member classes."""
@@ -78,7 +82,7 @@ class Graph:
         """Yield, per class of vertex labels, the bitset of the vertices adjacent
         to a member: the OR of the members' rows of adjacency_bitsets()."""
         rows = self.adjacency_bitsets()
-        return (reduce(or_, (rows[self.index(v)] for v in cls), 0) for cls in classes)
+        return (reduce(or_, map(rows.__getitem__, self.indices(cls)), 0) for cls in classes)
 
     def edges(self):
         """Yield index pairs (i, j), i < j, of adjacent vertices, in index order."""
@@ -103,11 +107,13 @@ class SubsetGraph(Graph):
         self.vertices = tuple(c[::-1] for c in combinations(range(n, 0, -1), k))[::-1]
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
-    def index(self, v) -> int:
-        try:
-            return self._index[tuple(v)]
-        except KeyError:
-            raise ForeignVertexError(f"{v} is not a vertex of K({self.n},{self.k})") from None
+    def indices(self, labels) -> list:
+        labels = list(labels)  # tuples or lists; the table is keyed by tuples
+        found = list(map(self._index.get, map(tuple, labels)))
+        if None in found:
+            v = labels[found.index(None)]
+            raise ForeignVertexError(f"{v} is not a vertex of K({self.n},{self.k})")
+        return found
 
     @cached_property
     def stars(self) -> tuple:
@@ -180,8 +186,8 @@ class KneserGraph(SubsetGraph):
         yield "}\n"
 
     def vertices_json(self) -> str:
-        return json.dumps({"n": self.n, "k": self.k,
-                           "vertices": self.vertices})
+        return json.dumps({"n": self.n, "k": self.k, "vertices": self.vertices},
+                          check_circular=False)
 
 
 _graphs = WeakValueDictionary()  # (n, k) -> the K(n,k) some caller still holds
@@ -213,17 +219,17 @@ class MatchingGraph(Graph):
     def header(self) -> dict:
         return {"matching_size": self.m}
 
-    def index(self, v):
-        if not 1 <= v <= 2 * self.m:
-            raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
-        return v - 1
-
-    def _partner(self, i: int) -> int:
-        return i + self.m if i < self.m else i - self.m
+    def indices(self, labels) -> list:
+        found = [v - 1 for v in labels]  # the table is arithmetic: vertex t has index t - 1
+        if found and not 0 <= min(found) <= max(found) < 2 * self.m:
+            i = next(i for i in found if not 0 <= i < 2 * self.m)
+            raise ForeignVertexError(f"vertex {i + 1} outside matching of size {self.m}")
+        return found
 
     def class_unions(self, classes):
-        """Yield each class's partners as a bitset."""
-        return (bitset([self._partner(v - 1) for v in cls]) for cls in classes)
+        """Yield each class's partners as a bitset: vertex t's partner has index t - 1 -+ m."""
+        m = self.m
+        return (bitset([v + m - 1 if v <= m else v - m - 1 for v in cls]) for cls in classes)
 
 
 def lovasz_chromatic(n: int, k: int) -> int:

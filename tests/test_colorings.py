@@ -88,7 +88,8 @@ def _matching_misses_two_later_classes():
 
 
 @pytest.mark.parametrize("make", [_kneser_misses_two_later_classes,
-                                  _matching_misses_two_later_classes], ids=["K(8,2)", "matching(6)"])
+                                  _matching_misses_two_later_classes],
+                         ids=["K(8,2)", "matching(6)"])
 def test_completeness_witness_is_the_least_missing_class(make):
     """Class a misses the later classes b1 < b2, whose leaders (lowest
     vertices) come in the opposite index order; the witness is (a, b1)."""
@@ -136,7 +137,8 @@ def test_mask_pass_takes_list_labels_and_reports_the_first_fault_in_scan_order(m
         with pytest.raises(CoverageError) as err:
             verify_coloring(Coloring(g, form(bad)))
         assert str(err.value) == f"vertex {form(first)} appears in two classes"
-        for tail, error in (([first, foreign], CoverageError), ([foreign, first], ForeignVertexError)):
+        for tail, error in (([first, foreign], CoverageError),
+                            ([foreign, first], ForeignVertexError)):
             bad = [cls + tail if c == 2 else cls for c, cls in enumerate(classes)]
             with pytest.raises(error):
                 verify_coloring(Coloring(g, form(bad)))
