@@ -169,19 +169,19 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     (_class_masks).  One walk in color order then takes U_c, the vertices
     adjacent to a member, from the graph's class_unions() (any of the
     kneser.Graph protocol), one union live at a time, and keeps a running
-    mask per requested check: proper, bad |= M_c & U_c; grundy,
-    late |= M_c & ~below, then below &= U_c (below starts as every vertex);
-    dominating, ruling &= U_c | M_c, as a vertex sees every class but its
-    own, class c dominates iff M_c & ruling; complete, the classes above c
-    whose leader (lowest vertex) lies outside U_c are the only ones that can
-    miss it (on a matching, whose U_c is sparse, O(l^2) tests in all); their
-    leaders are walked from the highest down, keeping the least that misses
-    c.  On K(n,k) this costs O(V*k) big-int operations.  Witnesses are the
-    first violation in colex index order: the least vertex in bad with its
-    least same-class neighbour, from its one-vertex union (by symmetry it
-    starts the least pair); the first class pair the walk finds; the proper witness
-    if improper, else the least vertex in late with the least lower color
-    its one-vertex union misses; the first class with M_c & ruling empty.
+    mask per requested check: proper, bad |= M_c & U_c; grundy, late |= M_c
+    & ~below, then below &= U_c (below starts as every vertex); dominating,
+    ruling &= U_c | M_c, as a vertex sees every class but its own, class c
+    dominates iff M_c & ruling; complete, the classes above c whose leader
+    (lowest vertex) lies outside U_c are the only ones that can miss it (on a
+    matching, whose U_c is sparse, O(l^2) tests in all), walked from the
+    highest leader down, keeping the least that misses c.  On K(n,k) this
+    costs O(V*k) big-int operations.  Witnesses are the first violation in
+    colex index order: the least vertex in bad with its least same-class
+    neighbour, from its one-vertex union (by symmetry it starts the least
+    pair); the first class pair the walk finds; the proper witness if
+    improper, else the least vertex in late with the least lower color its
+    one-vertex union misses; the first class with M_c & ruling empty.
     """
     checks = frozenset(checks)
     unknown = checks - ALL_CHECKS

@@ -466,11 +466,8 @@ def _developed_factor(t2: int, starter, i: int) -> list:
     in turn (x in Z_{t2-1} is point x+1, infinity is point t2).
     """
     m = t2 - 1
-    edges = [(i + 1, t2)]
-    for a, b in starter:
-        x, y = (a + i) % m + 1, (b + i) % m + 1
-        edges.append((x, y) if x < y else (y, x))
-    return edges
+    return [(i + 1, t2)] + [(x, y) if (x := (a + i) % m + 1) < (y := (b + i) % m + 1) else (y, x)
+                            for a, b in starter]
 
 
 def circle_factor(t2: int, i: int) -> list:

@@ -64,7 +64,8 @@ class Graph:
     each class's rows in class order, one at a time: all that verification
     reads.  K(n,k) and the matching override class_unions, D_V(n,k)
     adjacency_bitsets.  edges() walks the rows.  A graph that hosts a
-    coloring also has a `name` and header(), its certificate fields.
+    coloring also has a `name` for messages and header(), its fields in a
+    certificate (colorings.coloring_from_json).
     """
 
     @property
@@ -211,6 +212,7 @@ class MatchingGraph(Graph):
     def __init__(self, m: int):
         self.m = m
         self.vertices = tuple(range(1, 2 * m + 1))
+        self._index = (None, 0, *self.vertices[:-1])  # label t -> index t - 1, ints shared
 
     @property
     def name(self) -> str:
@@ -220,11 +222,11 @@ class MatchingGraph(Graph):
         return {"matching_size": self.m}
 
     def indices(self, labels) -> list:
-        found = [v - 1 for v in labels]  # the table is arithmetic: vertex t has index t - 1
-        if found and not 0 <= min(found) <= max(found) < 2 * self.m:
-            i = next(i for i in found if not 0 <= i < 2 * self.m)
-            raise ForeignVertexError(f"vertex {i + 1} outside matching of size {self.m}")
-        return found
+        labels = list(labels)
+        if labels and not 1 <= min(labels) <= max(labels) <= 2 * self.m:
+            v = next(v for v in labels if not 1 <= v <= 2 * self.m)
+            raise ForeignVertexError(f"vertex {v} outside matching of size {self.m}")
+        return list(map(self._index.__getitem__, labels))
 
     def class_unions(self, classes):
         """Yield each class's partners as a bitset: vertex t's partner has index t - 1 -+ m."""
