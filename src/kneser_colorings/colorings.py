@@ -195,10 +195,11 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
     seek_bad = bool(checks & {"proper", "grundy"})
     grundy = "grundy" in checks
     dominating = "dominating" in checks
-    leaders = 0  # non-zero while the completeness test still has candidates
+    leaders, leader_class = 0, {}  # leaders: non-zero while completeness has candidates
     if "complete" in checks:
-        leader_class = {(m & -m).bit_length() - 1: c for c, m in enumerate(masks)}
-        leaders = bitset(list(leader_class))
+        for c, m in enumerate(masks):
+            leaders |= (low := m & -m)
+            leader_class[low.bit_length() - 1] = c  # a leader's index -> its class
     pair = None
     bad = late = 0
     below = ruling = -1
