@@ -118,8 +118,9 @@ _MASK_PASS_CASES = {
 @pytest.mark.parametrize("make", _MASK_PASS_CASES.values(), ids=_MASK_PASS_CASES.keys())
 def test_mask_pass_takes_list_labels_and_reports_the_first_fault_in_scan_order(make):
     """Labels and classes given as lists verify as tuples do; a foreign label
-    raises ForeignVertexError, and a repeated one CoverageError naming the
-    first repeat in scan order, each with the label as given."""
+    raises ForeignVertexError, and a repeated one (across classes or within
+    one) CoverageError naming the first repeat in scan order, each with the
+    label as given."""
     g, foreign, foreign_message = make()
     classes = [list(g.vertices[i::5]) for i in range(5)]
     rep = verify_coloring(Coloring(g, tuple(map(tuple, classes))))
@@ -137,6 +138,11 @@ def test_mask_pass_takes_list_labels_and_reports_the_first_fault_in_scan_order(m
         with pytest.raises(CoverageError) as err:
             verify_coloring(Coloring(g, form(bad)))
         assert str(err.value) == f"vertex {form(first)} appears in two classes"
+        again = classes[2][0]  # repeated within its own class: the same message
+        bad = [cls + [again] if c == 2 else cls for c, cls in enumerate(classes)]
+        with pytest.raises(CoverageError) as err:
+            verify_coloring(Coloring(g, form(bad)))
+        assert str(err.value) == f"vertex {form(again)} appears in two classes"
         for tail, error in (([first, foreign], CoverageError),
                             ([foreign, first], ForeignVertexError)):
             bad = [cls + tail if c == 2 else cls for c, cls in enumerate(classes)]
