@@ -214,12 +214,12 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
         if leaders:
             leaders ^= mask & -mask
             cand = leaders ^ (leaders & union)
-            low = (cand & -cand).bit_length() - 1 if cand else 0
-            cand >>= low  # the walk's ints then span the candidates only
+            shift = (cand & -cand).bit_length() - 1 if cand else 0
+            cand >>= shift  # the walk's ints then span the candidates only
             while cand:  # from the highest leader down, keeping the least missing class
                 i = cand.bit_length() - 1
                 cand ^= 1 << i
-                b = leader_class[low + i] + 1
+                b = leader_class[shift + i] + 1
                 if (pair is None or b < pair[1]) and not union & masks[b - 1]:
                     pair, leaders = (a + 1, b), 0
 
