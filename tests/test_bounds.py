@@ -123,7 +123,8 @@ def test_csv_output():
     rows = bounds_table(10, 2)
     text = bounds_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0].startswith("n,k,chi,")
+    assert lines[0] == ("n,k,chi,alpha_lower,alpha_upper,psi_lower,psi_upper,"
+                        "psi_upper_improved,b_chromatic_lower,notes")
     assert len(lines) == 1 + 9  # header + n = 2..10
 
 

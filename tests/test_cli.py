@@ -229,6 +229,8 @@ def test_oracle_json():
     doc = json.loads(r.stdout)
     assert doc["value"] == 5 and doc["n"] == 5 and doc["k"] == 2
     assert {"param", "nodes_explored", "seconds"} <= set(doc)
+    r = run("oracle", "--param", "chi", "--n", "7", "--k", "2")  # 21 vertices, default cap 24
+    assert r.returncode == 0 and json.loads(r.stdout)["value"] == 5
 
 
 def test_psi_tight_cli():
@@ -511,6 +513,9 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_kneser", refuse)
     assert cli.main(["oracle", "--param", "alpha", "--n", "200", "--k", "100"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
+    assert cli.main(["oracle", "--param", "alpha", "--n", "7", "--k", "2"]) == 2  # default cap
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SizeCapError" and "capped at 16 vertices" in err["message"]
     assert cli.main(["oracle", "--param", "chi", "--n", "8", "--k", "3", "--cap", "55"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
     assert cli.main(["oracle", "--param", "grundy", "--n", "5", "--k", "2", "--cap", "0"]) == 2

@@ -27,8 +27,12 @@ from conftest import (as_lists, brute_complete, brute_dominating, brute_first_pr
 def test_petersen_optimal_pattern():
     g = build_kneser(5, 2)
     c = Coloring(g, K52_PATTERN)
+    assert c == Coloring(graph=g, classes=K52_PATTERN) and c.classes is K52_PATTERN
+    with pytest.raises(AttributeError):
+        c.classes = ()
     rep = verify_coloring(c)
     assert rep.proper and rep.complete and rep.color_count == 5
+    assert verify_coloring(c) == rep != verify_coloring(c, checks={"proper"})
 
 
 def test_single_class_on_k42():

@@ -92,6 +92,9 @@ def test_parallel_class_checks_its_blocks():
     d = construct_sts(9)
     blocks = tuple(sorted(tuple(sorted(swap.get(p, p) for p in blk)) for blk in d.blocks))
     relabelled = Design(n=9, blocks=blocks, k=3, r=4, lam=1)
+    assert relabelled.params() == (9, 12, 3, 4, 1)
+    with pytest.raises(AttributeError):
+        relabelled.n = 10
     assert verify_design(relabelled).passed
     with pytest.raises(CertificateError):
         find_parallel_class(relabelled)
@@ -396,7 +399,11 @@ def test_c4_pair_count_matches_cycle_walk():
         for facs in (factors, mixed):
             walked = sum(1 for f1, f2 in combinations(facs, 2)
                          if 4 in union_cycle_lengths(f1, f2, t2))
-            assert c4_pair_count(Resolution(of.design, facs)) == walked, t2
+            res = Resolution(of.design, facs)
+            assert (res.design, res.classes) == (of.design, facs)
+            assert c4_pair_count(res) == walked, t2
+    with pytest.raises(AttributeError):
+        res.classes = ()
 
 
 def test_c4_free_circle_order_above_46_still_builds():
@@ -450,6 +457,8 @@ def test_verify_design_reports_a_repeated_block():
     blocks = construct_sts(7).blocks
     rep = verify_design(Design(n=7, blocks=tuple(sorted(blocks + (blocks[2],))), k=3, r=3,
                                lam=1))
+    assert rep == verify_design(Design(7, tuple(sorted(blocks + (blocks[2],))), 3, 3, 1))
+    assert rep != verify_design(construct_sts(7))
     assert rep.as_dict() == {
         "params": [7, 8, 3, 3, 1], "block_sizes_ok": True, "replication_ok": False,
         "pair_coverage_ok": False, "equations_ok": False, "passed": False,

@@ -119,6 +119,8 @@ def test_result_metadata():
     assert res.param == "alpha" and res.nodes_explored > 0 and res.seconds >= 0
     doc = res.as_dict()
     assert set(doc) == {"param", "value", "nodes_explored", "seconds"}
+    with pytest.raises(AttributeError):
+        res.value = 0
 
 
 def _set_partitions(items):
