@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, isqrt
 
 from .errors import ParameterDomainError
@@ -103,24 +103,9 @@ def odd_graph_psi_lower(k: int) -> int:
     return floor_half_plus_sqrt(comb(2 * k, k))
 
 
-@dataclass
-class BoundsRow:
-    n: int
-    k: int
-    chi: int
-    alpha_lower: int | None
-    alpha_upper: int | None
-    psi_lower: int | None
-    psi_upper: int | None
-    psi_upper_improved: int | None
-    b_chromatic_lower: int | None
-    notes: str
-
-    FIELDS = ("n", "k", "chi", "alpha_lower", "alpha_upper", "psi_lower",
-              "psi_upper", "psi_upper_improved", "b_chromatic_lower", "notes")
-
-    def as_tuple(self):
-        return tuple(getattr(self, f) for f in self.FIELDS)
+# one bounds_table row; a bound that does not apply to (n, k) is None
+BoundsRow = namedtuple("BoundsRow", "n k chi alpha_lower alpha_upper psi_lower psi_upper "
+                                    "psi_upper_improved b_chromatic_lower notes")
 
 
 def bounds_table(n_max: int, k_max: int) -> list:
@@ -181,7 +166,7 @@ def bounds_table(n_max: int, k_max: int) -> list:
 def bounds_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(BoundsRow.FIELDS)
+    w.writerow(BoundsRow._fields)
     for r in rows:
-        w.writerow(["" if x is None else x for x in r.as_tuple()])
+        w.writerow(["" if x is None else x for x in r])
     return buf.getvalue()

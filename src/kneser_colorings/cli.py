@@ -10,7 +10,6 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from functools import cache
@@ -116,10 +115,14 @@ def _cmd_construct(plan) -> int:
     if plan.grundy and fam != "kn2-achromatic":
         raise ParameterDomainError(f"--grundy applies to kn2-achromatic only, not {fam}")
     if fam == "matching":
+        if plan.n is not None:
+            raise ParameterDomainError("--n applies to the kn2-* families only, not matching")
         if plan.m is None:
             raise ParameterDomainError("--family matching needs --m")
         coloring = pseudo.matching_coloring(plan.m)
     else:
+        if plan.m is not None:
+            raise ParameterDomainError(f"--m applies to --family matching only, not {fam}")
         if plan.n is None:
             raise ParameterDomainError(f"--family {fam} needs --n")
         if fam == "kn2-achromatic":
@@ -172,9 +175,10 @@ def _cmd_bounds(plan) -> int:
 def _cmd_oracle(plan) -> int:
     fn = {"alpha": oracle_mod.exact_achromatic, "psi": oracle_mod.exact_pseudoachromatic,
           "grundy": oracle_mod.exact_grundy, "chi": oracle_mod.exact_chromatic}[plan.param]
-    cap = plan.cap if plan.cap is not None else inspect.signature(fn).parameters["cap"].default
+    if (cap := plan.cap) is None:
+        cap = oracle_mod.CHI_CAP if plan.param == "chi" else oracle_mod.SEARCH_CAP
     # refuse before enumerating C(n,k) subsets
-    oracle_mod.check_cap(kneser_order(plan.n, plan.k), cap, fn.__name__)
+    oracle_mod.check_cap(kneser_order(plan.n, plan.k, cap), cap, fn.__name__)
     res = fn(build_kneser(plan.n, plan.k), cap)
     doc = res.as_dict()
     doc.update({"n": plan.n, "k": plan.k})
@@ -212,6 +216,11 @@ def _cmd_design(plan) -> int:
         return 0 if rep.passed else 1
     if plan.type is None:
         raise ParameterDomainError("design needs --type or --check")
+    if plan.n is not None and plan.type not in ("sts", "kts"):
+        raise ParameterDomainError(f"--n applies to --type sts and kts only, not {plan.type}")
+    if plan.order is not None and plan.type not in ("1f", "1f-c4free"):
+        raise ParameterDomainError(f"--order applies to --type 1f and 1f-c4free only, "
+                                   f"not {plan.type}")
     if plan.type == "sts":
         if plan.n is None:
             raise ParameterDomainError("design --type sts needs --n")
@@ -269,7 +278,7 @@ def _cmd_geom(plan) -> int:
 
 
 def _cmd_export(plan) -> int:
-    if kneser_order(plan.n, plan.k) > EXPORT_CAP:  # refused before K(n,k) is built
+    if kneser_order(plan.n, plan.k, EXPORT_CAP) is None:  # refused before K(n,k) is built
         raise ParameterDomainError(f"export is declared for K(n,k) with at most {EXPORT_CAP} "
                                    f"vertices, K({plan.n},{plan.k}) has more")
     g = build_kneser(plan.n, plan.k)

@@ -14,11 +14,10 @@ neighbourhood is formed only for the vertex of a proper or Grundy witness.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import suppress
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise
-from math import comb
+from types import SimpleNamespace
 
 from .errors import CertificateError, CoverageError, ForeignVertexError, ParameterDomainError
 from .kneser import KneserGraph, MatchingGraph, bit_indices, bitset, build_kneser, kneser_order
@@ -29,11 +28,9 @@ ALL_CHECKS = frozenset({"proper", "complete", "grundy", "dominating"})
 BITSET_CAP = 447 * 200_000
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "graph classes")):
     """graph is the host graph (a kneser.Graph); classes are tuples of vertex labels."""
-    graph: object
-    classes: tuple
+    __slots__ = ()
 
     @property
     def color_count(self) -> int:
@@ -73,12 +70,16 @@ def check_footprint(classes: int, order: int) -> None:
                                    f"declared class-bitset footprint of {BITSET_CAP} bits")
 
 
-def _covering(classes, order):
-    """classes, unless they have too few members to cover the graph's order
-    vertices, or their footprint exceeds BITSET_CAP."""
+def _covering(classes, n, k):
+    """classes, unless they have too few members to cover the graph's C(n,k)
+    vertices, or their footprint exceeds BITSET_CAP.  C(n,k) is formed only up
+    to the larger of the two, which it must not exceed."""
     members = sum(map(len, classes))
-    if order > members:
-        raise CoverageError(f"{members} class members cannot cover the graph's {order} vertices")
+    bound = max(members, BITSET_CAP)
+    order = kneser_order(n, k, bound)
+    if order is None or order > members:
+        raise CoverageError(f"{members} class members cannot cover the graph's "
+                            f"{order or f'more than {bound}'} vertices")
     check_footprint(len(classes), order)
     return classes
 
@@ -105,7 +106,7 @@ def coloring_from_json(text: str) -> Coloring:
             raise ParameterDomainError(f"{key} must be an integer >= 1, got {doc[key]!r}")
     if "matching_size" in doc:
         m = doc["matching_size"]
-        classes = _covering(_int_lists(doc["classes"], "classes"), 2 * m)
+        classes = _covering(_int_lists(doc["classes"], "classes"), 2 * m, 1)  # 2m vertices
         return Coloring(MatchingGraph(m), classes)
     classes = _int_lists(doc["classes"], "each class", depth=3)
     if "points" in doc:
@@ -117,22 +118,19 @@ def coloring_from_json(text: str) -> Coloring:
         if any(len(p) != 2 for p in points):
             raise ParameterDomainError("each point must be a pair of integer coordinates")
         k = _field(doc, "k")
-        classes = _covering(classes, comb(len(points), k))
+        classes = _covering(classes, len(points), k)
         return Coloring(build_dv(PointSet(points), k), classes)
     n, k = _field(doc, "n"), _field(doc, "k")
-    classes = _covering(classes, kneser_order(n, k))
+    classes = _covering(classes, n, k)
     return Coloring(build_kneser(n, k), classes)
 
 
-@dataclass
-class VerificationReport:
-    color_count: int
-    proper: bool | None = None
-    complete: bool | None = None
-    grundy: bool | None = None
-    dominating: bool | None = None
-    witnesses: dict = field(default_factory=dict)
-    class_histogram: dict = field(default_factory=dict)
+class VerificationReport(SimpleNamespace):
+    """Each check is None until verified; witnesses name the failed checks' first violations."""
+
+    def __init__(self, color_count, class_histogram):
+        super().__init__(color_count=color_count, proper=None, complete=None, grundy=None,
+                         dominating=None, witnesses={}, class_histogram=class_histogram)
 
     def as_dict(self):
         return {"color_count": self.color_count, "proper": self.proper,
@@ -189,8 +187,7 @@ def verify_coloring(coloring: Coloring, checks=ALL_CHECKS) -> VerificationReport
         raise ParameterDomainError(f"unknown checks {sorted(unknown)}")
     g = coloring.graph
     masks = _class_masks(g, coloring.classes)
-    rep = VerificationReport(color_count=coloring.color_count,
-                             class_histogram=coloring.class_histogram())
+    rep = VerificationReport(coloring.color_count, coloring.class_histogram())
 
     seek_bad = bool(checks & {"proper", "grundy"})
     grundy = "grundy" in checks
@@ -276,21 +273,15 @@ def certify(coloring: Coloring, checks, count=None) -> Coloring:
     return coloring
 
 
-@dataclass
-class ConditionCReport:
+class ConditionCReport(namedtuple("ConditionCReport", "sizes_ok p3_ok matching_ok singleton_points"
+                                                     " centers exceptional problems")):
     """Accounting behind the alpha(K(n,2)) upper bound.
 
     Singleton classes must form a matching of K_n, size-2 classes must be
     P_3 subgraphs of K_n, and at most one vertex of K_n may be exceptional
     (in no singleton and not the center of any P_3).
     """
-    sizes_ok: bool
-    p3_ok: bool
-    matching_ok: bool
-    singleton_points: tuple
-    centers: tuple
-    exceptional: tuple
-    problems: list
+    __slots__ = ()
 
     @property
     def passes(self) -> bool:

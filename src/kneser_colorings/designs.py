@@ -29,24 +29,20 @@ is tripled into KTS(63).  They hold 8.0 MB at the end of that sweep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache, reduce
 from itertools import combinations, product
 from math import comb
 from operator import xor
+from types import SimpleNamespace
 
 from .errors import CertificateError, ParameterDomainError, SearchExhaustedError
 from .exact_cover import exact_cover
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(namedtuple("Design", "n blocks k r lam")):
     """A 2-(n, b, k, r, lambda) design on points 1..n."""
-    n: int
-    blocks: tuple
-    k: int
-    r: int
-    lam: int
+    __slots__ = ()
 
     @property
     def b(self) -> int:
@@ -56,23 +52,18 @@ class Design:
         return (self.n, self.b, self.k, self.r, self.lam)
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """A resolvable design and its parallel classes, each a sorted tuple of
-    blocks.  A 1-factorization of K_2t is the resolution of the 2-(2t, 2, 1)
-    design, and its classes are the factors."""
-    design: Design
-    classes: tuple
+# a resolvable design and its parallel classes, each a sorted tuple of blocks; a
+# 1-factorization of K_2t is the resolution of the 2-(2t, 2, 1) design, and its
+# classes are the factors
+Resolution = namedtuple("Resolution", "design classes")
 
 
-@dataclass
-class DesignReport:
-    params: tuple
-    block_sizes_ok: bool = True
-    replication_ok: bool = True
-    pair_coverage_ok: bool = True
-    equations_ok: bool = True
-    failures: list = field(default_factory=list)
+class DesignReport(SimpleNamespace):
+    """Each axiom holds until the audit records a failure against it."""
+
+    def __init__(self, params):
+        super().__init__(params=params, block_sizes_ok=True, replication_ok=True,
+                         pair_coverage_ok=True, equations_ok=True, failures=[])
 
     @property
     def passed(self) -> bool:
@@ -95,7 +86,7 @@ def verify_design(d: Design) -> DesignReport:
     are counted in a flat list by pair rank when there are no more pairs of
     1..n than block pairs, and in a dict of the block pairs otherwise.
     """
-    rep = DesignReport(params=d.params())
+    rep = DesignReport(d.params())
     for blk in d.blocks:
         if len(blk) != d.k or len(set(blk)) != d.k:
             rep.block_sizes_ok = False

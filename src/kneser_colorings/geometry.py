@@ -17,7 +17,7 @@ big-int operations instead of C(V,2) hull tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations
 from math import comb
 
@@ -237,10 +237,8 @@ def thrackle_max_edges(ps: PointSet) -> int:
     return best
 
 
-@dataclass
-class TrianglePairReport:
-    pairs_checked: int
-    counterexamples: list
+class TrianglePairReport(namedtuple("TrianglePairReport", "pairs_checked counterexamples")):
+    __slots__ = ()
 
     @property
     def passes(self) -> bool:

@@ -45,11 +45,21 @@ def bitset(indices) -> int:
     return int.from_bytes(row, "little")
 
 
-def kneser_order(n: int, k: int) -> int:
-    """C(n,k), the vertex count of K(n,k), without building the graph."""
+def kneser_order(n: int, k: int, bound: int | None = None) -> int | None:
+    """C(n,k), the vertex count of K(n,k), without building the graph; given
+    a bound, None if C(n,k) exceeds it.  Then C(n,k) is formed as C(n-i+j, j),
+    j = 1..i for i = min(k, n-k), which at least doubles at each step, so it
+    stops within log2(bound) + 2 steps and a huge order is never formed."""
     if k < 1 or n < k:
         raise ParameterDomainError(f"K({n},{k}) needs 1 <= k <= n")
-    return comb(n, k)
+    if bound is None:
+        return comb(n, k)
+    i, c = min(k, n - k), 1
+    for j in range(1, i + 1):
+        if c > bound:
+            break
+        c = c * (n - i + j) // j
+    return c if c <= bound else None
 
 
 class Graph:

@@ -23,19 +23,18 @@ DSatur-ordered iterative deepening.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import SizeCapError
 from .kneser import bit_indices
 
+CHI_CAP = 24  # vertices; the default cap of exact_chromatic
+SEARCH_CAP = 16  # vertices; the default cap of the alpha, psi and Gamma searches
 
-@dataclass(frozen=True)
-class OracleResult:
-    param: str
-    value: int
-    nodes_explored: int
-    seconds: float
+
+class OracleResult(namedtuple("OracleResult", "param value nodes_explored seconds")):
+    __slots__ = ()
 
     def as_dict(self):
         return {"param": self.param, "value": self.value,
@@ -44,9 +43,11 @@ class OracleResult:
 
 
 def check_cap(vertex_count, cap, what):
-    """Raise SizeCapError if a graph of vertex_count vertices exceeds cap."""
-    if vertex_count > cap:
-        raise SizeCapError(f"{what} capped at {cap} vertices, graph has {vertex_count}")
+    """Raise SizeCapError if a graph of vertex_count vertices (None: more than
+    cap, as kneser_order counts up to a bound) exceeds cap."""
+    if vertex_count is None or vertex_count > cap:
+        raise SizeCapError(f"{what} capped at {cap} vertices, graph has "
+                           f"{'more' if vertex_count is None else vertex_count}")
 
 
 def _search_order(adj):
@@ -63,7 +64,7 @@ def _search_order(adj):
     return order
 
 
-def exact_chromatic(g, cap: int = 24) -> OracleResult:
+def exact_chromatic(g, cap: int = CHI_CAP) -> OracleResult:
     """Minimum proper coloring size, by iterative deepening from a clique bound."""
     check_cap(g.vertex_count, cap, "exact_chromatic")
     t0 = time.perf_counter()
@@ -191,17 +192,17 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
     return OracleResult(param, 0, nodes, time.perf_counter() - t0)  # only the null graph gets here
 
 
-def exact_achromatic(g, cap: int = 16) -> OracleResult:
+def exact_achromatic(g, cap: int = SEARCH_CAP) -> OracleResult:
     """Maximum proper complete coloring size."""
     return _complete_max(g, proper=True, cap=cap, param="alpha")
 
 
-def exact_pseudoachromatic(g, cap: int = 16) -> OracleResult:
+def exact_pseudoachromatic(g, cap: int = SEARCH_CAP) -> OracleResult:
     """Maximum complete coloring size (properness dropped)."""
     return _complete_max(g, proper=False, cap=cap, param="psi")
 
 
-def exact_grundy(g, cap: int = 16) -> OracleResult:
+def exact_grundy(g, cap: int = SEARCH_CAP) -> OracleResult:
     """Maximum l admitting a Grundy l-coloring (every color j sees all i < j)."""
     check_cap(g.vertex_count, cap, "exact_grundy")
     t0 = time.perf_counter()

@@ -103,7 +103,8 @@ def test_domain_error_exits_2():
                  ("design", "--type", "1f", "--order", "20000"),
                  ("design", "--type", "1f-c4free", "--order", "302"),
                  ("export", "--format", "json", "--n", "60", "--k", "6"),
-                 ("export", "--format", "dot", "--n", "60", "--k", "2")):
+                 ("export", "--format", "dot", "--n", "60", "--k", "2"),
+                 ("export", "--format", "dot", "--n", "100000", "--k", "50000")):
         r = run(*args)
         assert r.returncode == 2, args
         assert json.loads(r.stderr)["error"] == "ParameterDomainError", args
@@ -516,6 +517,12 @@ def test_oracle_size_cap_checked_before_building(monkeypatch, capsys):
     assert cli.main(["oracle", "--param", "alpha", "--n", "7", "--k", "2"]) == 2  # default cap
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SizeCapError" and "capped at 16 vertices" in err["message"]
+    # orders too long to print (over 4,300 digits), counted only up to the cap
+    for param, n, k, name, cap in (("alpha", 100_000, 50_000, "exact_achromatic", 16),
+                                   ("chi", 30_000, 15_000, "exact_chromatic", 24)):
+        assert cli.main(["oracle", "--param", param, "--n", str(n), "--k", str(k)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "SizeCapError", "message": f"{name} capped at {cap} vertices, graph has more"}
     assert cli.main(["oracle", "--param", "chi", "--n", "8", "--k", "3", "--cap", "55"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SizeCapError"
     assert cli.main(["oracle", "--param", "grundy", "--n", "5", "--k", "2", "--cap", "0"]) == 2
@@ -634,6 +641,12 @@ def test_verify_refuses_uncoverable_graph_before_building(tmp_path, monkeypatch,
     assert cli.main(["verify", "--coloring", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CoverageError" and "cannot cover" in err["message"]
+    # C(100000, 50000) has over 30,000 digits: it is counted only up to BITSET_CAP
+    path.write_text(json.dumps({"n": 100_000, "k": 50_000, "classes": [[[1, 2]]]}))
+    assert cli.main(["verify", "--coloring", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CoverageError",
+        "message": "1 class members cannot cover the graph's more than 89400000 vertices"}
     path.write_text(json.dumps({"matching_size": 10 ** 12, "classes": [[1], [2]]}))
     assert cli.main(["verify", "--coloring", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "CoverageError"
@@ -730,6 +743,35 @@ def test_design_check_refuses_construction_flags(tmp_path, capsys):
         assert json.loads(captured.err) == {
             "error": "ParameterDomainError",
             "message": "--type, --n and --order do not apply with --check"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["design", "--type", "sts", "--n", "7", "--order", "8"],
+     "--order applies to --type 1f and 1f-c4free only, not sts"),
+    (["design", "--type", "kts", "--n", "9", "--order", "8"],
+     "--order applies to --type 1f and 1f-c4free only, not kts"),
+    (["design", "--type", "1f", "--order", "8", "--n", "7"],
+     "--n applies to --type sts and kts only, not 1f"),
+    (["design", "--type", "1f-c4free", "--order", "8", "--n", "7"],
+     "--n applies to --type sts and kts only, not 1f-c4free"),
+    (["design", "--type", "21-5-1", "--n", "21"],
+     "--n applies to --type sts and kts only, not 21-5-1"),
+    (["design", "--type", "21-5-1", "--order", "8"],
+     "--order applies to --type 1f and 1f-c4free only, not 21-5-1"),
+    (["construct", "--family", "matching", "--m", "5", "--n", "7"],
+     "--n applies to the kn2-* families only, not matching"),
+    *[(["construct", "--family", fam, "--n", "8", "--m", "5"],
+       f"--m applies to --family matching only, not {fam}")
+      for fam in ("kn2-achromatic", "kn2-psi-lower", "kn2-psi-tight")],
+])
+def test_flag_that_does_not_apply_exits_2(argv, message, capsys):
+    """A flag the chosen type or family does not read is refused, not ignored."""
+    from kneser_colorings import cli
+
+    assert cli.main([*argv, "--seed", "3"]) == 2  # --seed itself applies everywhere
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ParameterDomainError", "message": message}
 
 
 @pytest.mark.parametrize("op", ["dv-coloring", "thrackle", "triangle-pairs"])

@@ -6,8 +6,12 @@ assignment, a def or a class must be read (as a name or an attribute)
 somewhere under src/ or tests/; dunder names such as __all__ are read by
 Python itself.  One read by tests alone is code that only tests keep alive,
 so it must be part of the package's API: listed in kneser_colorings.__all__.
+No module imports dataclasses or inspect, so the package's import generates
+no class code and leaves inspect (with ast, dis and tokenize) unloaded.
 """
 import ast
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -80,6 +84,36 @@ def _unexported_and_unread(tree, read, exported):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _imported_modules(tree):
+    """The top-level names of the modules a tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_inspect(path):
+    assert _imported_modules(ast.parse(path.read_text())) & {"dataclasses", "inspect"} == set()
+
+
+def test_detects_dataclasses_and_inspect_imports():
+    tree = ast.parse("import inspect as i\nfrom dataclasses import field\nfrom . import cli\n"
+                     "import os.path\n")
+    assert _imported_modules(tree) == {"inspect", "dataclasses", "os"}
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kneser_colorings.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_detects_an_unused_import():

@@ -9,8 +9,9 @@ from kneser_colorings.achromatic import achromatic_coloring
 from kneser_colorings.colorings import coloring_from_json, verify_coloring
 from kneser_colorings.errors import ForeignVertexError, ParameterDomainError
 from kneser_colorings.geometry import DisjointnessGraph, build_dv, random_general_position
+from kneser_colorings import kneser
 from kneser_colorings.kneser import (Graph, KneserGraph, MatchingGraph, bitset, build_kneser,
-                                     lovasz_chromatic)
+                                     kneser_order, lovasz_chromatic)
 from kneser_colorings.pseudoachromatic import psi_lower_coloring
 
 from conftest import (brute_kneser_edges, colex_subsets, frees_what_it_makes,
@@ -34,6 +35,25 @@ def test_k42_is_perfect_matching():
     assert g.vertex_count == 6
     assert g.edge_count() == 3 == len(brute_kneser_edges(4, 2))
     assert g.regular_degree == 1
+
+
+def test_kneser_order_counts_only_up_to_a_bound(monkeypatch):
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            c = comb(n, k)
+            assert kneser_order(n, k) == c
+            for bound in (-1, 0, c - 1, c, c + 1):
+                assert kneser_order(n, k, bound) == (c if c <= bound else None), (n, k, bound)
+
+    def refuse(n, k):
+        raise AssertionError(f"C({n},{k}) formed in full")
+
+    monkeypatch.setattr(kneser, "comb", refuse)
+    # C(4e6, 2e6) takes minutes to form; its bounded count stops within 32 steps
+    assert kneser_order(4_000_000, 2_000_000, 2 ** 30) is None
+    assert kneser_order(10 ** 9, 1, 10 ** 9) == 10 ** 9
+    with pytest.raises(ParameterDomainError):
+        kneser_order(3, 4, 10)
 
 
 def test_k32_edgeless_boundary_case():
