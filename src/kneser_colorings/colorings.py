@@ -86,11 +86,16 @@ def _covering(classes, n, k):
 
 def _json_doc(text: str):
     """The decoded JSON document; one nested too deeply for the decoder's
-    recursion is refused as ParameterDomainError."""
+    recursion, or with an integer of more digits than int() converts, is
+    refused as ParameterDomainError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ParameterDomainError("the JSON document is nested too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ParameterDomainError("the JSON document holds an integer too long to decode") from None
 
 
 def coloring_from_json(text: str) -> Coloring:

@@ -560,6 +560,7 @@ def _malformed_file(path, doc):
     '{"k": 2, "classes": [[[1, 2]]]}',
     '{"n": 4, "classes": [[[1, 2]]]}',
     pytest.param("[" * 100_000, id="nested-1e5-deep"),
+    pytest.param('{"n": 1%s, "k": 2, "classes": []}' % ("0" * 5000), id="5001-digit-n"),
     pytest.param(b'{"n": 4, "k": 2, "classes": [[[1, 2]]], "x": "\xff"}', id="not-utf-8"),
     pytest.param(None, id="directory"),
 ])
@@ -607,6 +608,7 @@ def test_foreign_vertex_exits_2(tmp_path, capsys, doc):
     '{"n": 6, "blocks": [[]]}',
     '{"n": 1, "blocks": [[1]]}',
     pytest.param("[" * 100_000, id="nested-1e5-deep"),
+    pytest.param('{"n": 1%s, "blocks": [[1, 2]]}' % ("0" * 5000), id="5001-digit-n"),
     pytest.param(b'{"n": 3, "blocks": [[1, 2, 3]], "x": "\xff"}', id="not-utf-8"),
     pytest.param(None, id="directory"),
 ])
