@@ -17,6 +17,7 @@ import json
 from collections import Counter, namedtuple
 from contextlib import suppress
 from itertools import accumulate, chain, pairwise
+from math import comb
 from types import SimpleNamespace
 
 from .errors import CertificateError, CoverageError, ForeignVertexError, ParameterDomainError
@@ -70,13 +71,13 @@ def check_footprint(classes: int, order: int) -> None:
                                    f"declared class-bitset footprint of {BITSET_CAP} bits")
 
 
-def _covering(classes, n, k):
-    """classes, unless they have too few members to cover the graph's C(n,k)
-    vertices, or their footprint exceeds BITSET_CAP.  C(n,k) is formed only up
-    to the larger of the two, which it must not exceed."""
+def _covering(classes, count):
+    """classes, unless they have too few members to cover the graph's vertices,
+    or their footprint exceeds BITSET_CAP.  count(bound) is the vertex count,
+    or None if it exceeds bound; the bound is the larger of the two limits."""
     members = sum(map(len, classes))
     bound = max(members, BITSET_CAP)
-    order = kneser_order(n, k, bound)
+    order = count(bound)
     if order is None or order > members:
         raise CoverageError(f"{members} class members cannot cover the graph's "
                             f"{order or f'more than {bound}'} vertices")
@@ -111,7 +112,7 @@ def coloring_from_json(text: str) -> Coloring:
             raise ParameterDomainError(f"{key} must be an integer >= 1, got {doc[key]!r}")
     if "matching_size" in doc:
         m = doc["matching_size"]
-        classes = _covering(_int_lists(doc["classes"], "classes"), 2 * m, 1)  # 2m vertices
+        classes = _covering(_int_lists(doc["classes"], "classes"), lambda bound: 2 * m)
         return Coloring(MatchingGraph(m), classes)
     classes = _int_lists(doc["classes"], "each class", depth=3)
     if "points" in doc:
@@ -123,10 +124,10 @@ def coloring_from_json(text: str) -> Coloring:
         if any(len(p) != 2 for p in points):
             raise ParameterDomainError("each point must be a pair of integer coordinates")
         k = _field(doc, "k")
-        classes = _covering(classes, len(points), k)
+        classes = _covering(classes, lambda bound: comb(len(points), k))
         return Coloring(build_dv(PointSet(points), k), classes)
     n, k = _field(doc, "n"), _field(doc, "k")
-    classes = _covering(classes, n, k)
+    classes = _covering(classes, lambda bound: kneser_order(n, k, bound))
     return Coloring(build_kneser(n, k), classes)
 
 
