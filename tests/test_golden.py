@@ -12,9 +12,12 @@ order that the rotational starter search builds, 21 to 129, is pinned;
 construct_kts is cached, so in one session these reuse the builds of
 tests/test_designs.py.  The psi-lower digests cover every route of n mod 4,
 and the verify digest is that of a report with a witness for every check.
+The report documents (verify, design --check, oracle) and the error
+documents on stderr are pinned beside them.
 """
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -95,6 +98,8 @@ GOLDEN = {
         "ed9a284c8119f39fb14e30e3280e4a312316af2166c9e5a223fa0d9b9cf48394",
     "geom --op dvnk --n 16 --k 3 --layout convex":
         "9036766d8d84eabaf8fb40b81c4bc77f50f783f400354c3dd0195a04ac09059a",
+    "geom --op thrackle --n 6 --layout random --seed 1":
+        "6fd3153b777923919a0f0c6f0ec8189dfe10c2eba162b2bf0bb95c8bc5a0be42",
     "geom --op triangle-pairs --n 12 --layout convex":
         "d5fd04548f6b4e1345c9d7abf5b745cbdef782af34a514c77db522e2af4c17ca",
     "bounds --n-max 60 --k-max 5":
@@ -134,6 +139,71 @@ def test_verify_report_on_a_tampered_certificate_is_pinned(tmp_path):
     assert set(report["witnesses"]) == {"proper", "complete", "grundy", "dominating"}
     assert report["condition_c"]["passes"] is False
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TAMPERED_REPORT
+
+
+# (certificate command, verify checks, exit code, report digest)
+VERIFY_REPORTS = {
+    "condition-c": ("construct --family kn2-achromatic --n 13", "condition-c", 0,
+                    "f05ae77b1e92da68f7606e81bc48a8a4bebddf259ca6934f2a9e5ec38154f607"),
+    "matching": ("construct --family matching --m 9", "proper,complete,grundy,dominating", 1,
+                 "10d94a3689e354dee905670243088021009de4a792cafe83401a2ed31fa00cff"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_REPORTS)
+def test_verify_report_is_pinned(case, tmp_path):
+    construct, checks, code, digest = VERIFY_REPORTS[case]
+    cert, out = tmp_path / "cert.json", tmp_path / "out"
+    assert cli.main(construct.split() + ["--out", str(cert)]) == 0
+    assert cli.main(["verify", "--checks", checks, "--coloring", str(cert),
+                     "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# (design document, exit code, report digest): STS(7), and STS(7) with the
+# foreign point 9 in its first block and a fourth point in its last
+DESIGN_CHECKS = {
+    "sts7": ({"n": 7, "blocks": [[1, 2, 4], [1, 3, 5], [1, 6, 7], [2, 3, 7], [2, 5, 6],
+                                 [3, 4, 6], [4, 5, 7]]}, 0,
+             "081564f4dec171ae99bd06d968b07b3f0753ea8a899a333d4f51bd6713953ea1"),
+    "foreign-and-4-point": ({"n": 7, "blocks": [[1, 2, 9], [1, 3, 5], [1, 6, 7], [2, 3, 7],
+                                                [2, 5, 6], [3, 4, 6], [3, 5, 6, 7]]}, 1,
+                            "c481529de9141a7671884e87af3a391d9b615e401117829d6646d46bfea9e06d"),
+}
+
+
+@pytest.mark.parametrize("case", DESIGN_CHECKS)
+def test_design_check_report_is_pinned(case, tmp_path):
+    doc, code, digest = DESIGN_CHECKS[case]
+    design, out = tmp_path / "design.json", tmp_path / "out"
+    design.write_text(json.dumps(doc))
+    assert cli.main(["design", "--check", str(design), "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_oracle_document_is_pinned_but_for_its_seconds(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(f"oracle --param psi --n 5 --k 2 --out {out}".split()) == 0
+    doc, timings = re.subn(rb'"seconds": [0-9.e-]+', b'"seconds": 0', out.read_bytes())
+    assert timings == 1
+    assert hashlib.sha256(doc).hexdigest() == (
+        "da6207c0bba2d80aa8cb6e8a3ae3ea669fca2cda7b5087ac1d3a2af07919fb0d")
+
+
+ERRORS = {
+    "construct --family kn2-achromatic --n 9 --grundy": (
+        1, '{"error": "CertificateError", "message": '
+           '"K(9,2) coloring failed grundy: {\'grundy\': ((1, 4), 8)}"}\n'),
+    "construct --family matching": (
+        2, '{"error": "ParameterDomainError", "message": "--family matching needs --m"}\n'),
+}
+
+
+@pytest.mark.parametrize("command", ERRORS)
+def test_error_document_is_pinned(command, capsys):
+    code, doc = ERRORS[command]
+    assert cli.main(command.split()) == code
+    assert capsys.readouterr() == ("", doc)
 
 
 @pytest.mark.parametrize("fmt", ["dot", "json"])

@@ -111,6 +111,9 @@ TRANSPORTED = {
     3: "948741a9575de203ee8374b4a78bda6b2f9e61a78ef0d042da5e5aa154416e46",
     4: "929af9c24f8f98b023d1f40bec79e5de5635210e72de81f33396de897a86cc36",
     5: "b3f13d6d033263b7201303ed3e8fc01c242eb4230c45f6c4249e2d41f23333bc",
+    6: "0105dfd930b84e0f6f5be6c892c61db9407d9cf6526bff06a6bb7c947dbd2e0f",
+    7: "931c5b383fff4492ba5be269e2aaf08a3eeb50c17bb8196550641a753917d0b2",
+    8: "2dd0b71e444b8759bab201afb9e7196fcb6bdc59d6d5648ba835446c61a49b5e",
 }
 
 
