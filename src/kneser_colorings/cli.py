@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification failure (witnesses in the JSON
-output), 2 parameter-domain or usage errors.  Certificates are JSON and
-name their own graph (verify's --graph, --n and --k only cross-check it),
-bounds tables CSV, graph exports DOT or JSON.  Every command accepts
+output), 2 parameter-domain or usage errors; an error is one JSON document
+on stderr.  Certificates are JSON and name their own graph (verify's
+--graph, --n and --k only cross-check it), bounds tables CSV, graph exports
+DOT or JSON.  _emit writes every primary output but a DOT export to
+stdout: text as given, and a document (a report, a design, an oracle value)
+as sorted-key JSON, the handlers' one serializer.  Every command accepts
 --seed; only geom's random layouts read it, and they are deterministic for a
 fixed seed.
 """
@@ -100,7 +103,9 @@ def parse_invocation(argv):
     return _parser().parse_args(argv)
 
 
-def _emit(plan, text: str) -> None:
+def _emit(plan, doc) -> None:
+    """Write text, or a document as sorted-key JSON, to --out or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, check_circular=False)
     if plan.out:
         with open(plan.out, "w") as fh:
             fh.write(text)
@@ -162,7 +167,7 @@ def _cmd_verify(plan) -> int:
         cc = check_condition_C(coloring)
         doc["condition_c"] = cc.as_dict()
         ok = ok and cc.passes
-    _emit(plan, json.dumps(doc, sort_keys=True, check_circular=False))
+    _emit(plan, doc)
     return 0 if ok else 1
 
 
@@ -180,9 +185,7 @@ def _cmd_oracle(plan) -> int:
     # refuse before enumerating C(n,k) subsets
     oracle_mod.check_cap(kneser_order(plan.n, plan.k, cap), cap, fn.__name__)
     res = fn(build_kneser(plan.n, plan.k), cap)
-    doc = res.as_dict()
-    doc.update({"n": plan.n, "k": plan.k})
-    _emit(plan, json.dumps(doc, sort_keys=True, check_circular=False))
+    _emit(plan, {**res.as_dict(), "n": plan.n, "k": plan.k})
     return 0
 
 
@@ -212,7 +215,7 @@ def _cmd_design(plan) -> int:
         r = b * k // n
         lam = r * (k - 1) // (n - 1) if n > 1 else 0
         rep = designs.verify_design(designs.Design(n=n, blocks=blocks, k=k, r=r, lam=lam))
-        _emit(plan, json.dumps(rep.as_dict(), sort_keys=True, check_circular=False))
+        _emit(plan, rep.as_dict())
         return 0 if rep.passed else 1
     if plan.type is None:
         raise ParameterDomainError("design needs --type or --check")
@@ -242,7 +245,7 @@ def _cmd_design(plan) -> int:
         else:
             res = designs.c4_free_one_factorization(plan.order)
         doc = {"order": res.design.n, "factors": res.classes}
-    _emit(plan, json.dumps(doc, sort_keys=True, check_circular=False))
+    _emit(plan, doc)
     return 0
 
 
@@ -264,8 +267,7 @@ def _cmd_geom(plan) -> int:
         return 0
     if plan.op == "thrackle":
         val = geometry.thrackle_max_edges(ps)
-        _emit(plan, json.dumps({"n": n, "layout": plan.layout, "thrackle_max_edges": val},
-                               sort_keys=True, check_circular=False))
+        _emit(plan, {"n": n, "layout": plan.layout, "thrackle_max_edges": val})
         return 0
     if plan.op == "dvnk":
         if plan.k is None:
@@ -273,7 +275,7 @@ def _cmd_geom(plan) -> int:
         _emit(plan, geometry.dvnk_lower_coloring(ps, plan.k).to_json())
         return 0
     rep = geometry.triangle_pair_check(ps)
-    _emit(plan, json.dumps(rep.as_dict(), sort_keys=True, check_circular=False))
+    _emit(plan, rep.as_dict())
     return 0 if rep.passes else 1
 
 
@@ -308,14 +310,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return execute(plan)
-    except (ParameterDomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except (CertificateError, SearchExhaustedError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+    except (CertificateError, SearchExhaustedError, ParameterDomainError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 1 if isinstance(exc, (CertificateError, SearchExhaustedError)) else 2
 
 
 if __name__ == "__main__":

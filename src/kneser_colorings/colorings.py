@@ -139,9 +139,7 @@ class VerificationReport(SimpleNamespace):
                          dominating=None, witnesses={}, class_histogram=class_histogram)
 
     def as_dict(self):
-        return {"color_count": self.color_count, "proper": self.proper,
-                "complete": self.complete, "grundy": self.grundy,
-                "dominating": self.dominating, "witnesses": dict(self.witnesses),
+        return {**vars(self),
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())}}
 
 
@@ -295,13 +293,8 @@ class ConditionCReport(namedtuple("ConditionCReport", "sizes_ok p3_ok matching_o
                 and len(self.exceptional) <= 1)
 
     def as_dict(self):
-        return {"sizes_ok": self.sizes_ok, "p3_ok": self.p3_ok,
-                "matching_ok": self.matching_ok,
-                "singleton_points": list(self.singleton_points),
-                "centers": list(self.centers),
-                "exceptional_count": len(self.exceptional),
-                "exceptional": list(self.exceptional),
-                "problems": self.problems, "passes": self.passes}
+        return {**self._asdict(), "exceptional_count": len(self.exceptional),
+                "passes": self.passes}
 
 
 def check_condition_C(coloring: Coloring) -> ConditionCReport:

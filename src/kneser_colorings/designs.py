@@ -71,11 +71,7 @@ class DesignReport(SimpleNamespace):
                 and self.pair_coverage_ok and self.equations_ok)
 
     def as_dict(self):
-        return {"params": list(self.params), "block_sizes_ok": self.block_sizes_ok,
-                "replication_ok": self.replication_ok,
-                "pair_coverage_ok": self.pair_coverage_ok,
-                "equations_ok": self.equations_ok, "failures": self.failures,
-                "passed": self.passed}
+        return {**vars(self), "params": list(self.params), "passed": self.passed}
 
 
 def verify_design(d: Design) -> DesignReport:
@@ -308,7 +304,7 @@ def _pg32_days():
     return sorted(days)
 
 
-def _rotational_day_orbit(m, bs, cs, max_nodes):
+def _rotational_day_orbit(m, bs, cs):
     """Starter partition D for the rotational KTS(3m) ansatz, or None if none exists.
 
     D must hit each pure difference orbit once and each mixed orbit not
@@ -318,7 +314,7 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
     point (x, level), is column 3m + p.  col[i][j] is the orbit column of
     the pair i < j, or -1 if used up.  A triple i < j < k in three distinct
     available orbits is the row (col[i][j], col[i][k], col[j][k], 3m+i, 3m+j,
-    3m+k); D is the triples taken.  Raises SearchExhaustedError past max_nodes.
+    3m+k); D is the triples taken.  Raises SearchExhaustedError past KTS_BUDGET nodes.
     """
     used = {(0, 1): set(bs), (0, 2): set(cs), (1, 2): {(c - b) % m for b, c in zip(bs, cs)}}
     orbits = [(lev, lev, d) for lev in range(3) for d in range(1, (m + 1) // 2)]  # pure
@@ -340,16 +336,17 @@ def _rotational_day_orbit(m, bs, cs, max_nodes):
                     b, c = ci[k], cj[k]
                     if b >= 0 and c >= 0 and a != b != c != a:
                         rows.append((a, b, c, npts + i, npts + j, npts + k))
-    sol = exact_cover(2 * npts, rows, max_nodes=max_nodes)
+    sol = exact_cover(2 * npts, rows, max_nodes=KTS_BUDGET)
     return None if sol is None else [tuple(p - npts for p in rows[r][3:]) for r in sol]
 
 
 # Fixed-day starters (b_j), (c_j) for the orders m where the canonical
 # b_j = j, c_j = 2j admit no starter partition.
 _ROTATIONAL_STARTERS = {7: ((0, 1, 2), (0, 2, 5))}
+KTS_BUDGET = 500_000  # exact-cover nodes of the rotational starter search
 
 
-def _rotational_kts_days(n: int, max_nodes: int = 500000):
+def _rotational_kts_days(n: int):
     """KTS(3m) with the cyclic symmetry (x, level) -> (x+1, level) on Z_m.
 
     (m-1)/2 fixed days develop transversal starters {(0,0),(b,1),(c,2)};
@@ -359,12 +356,12 @@ def _rotational_kts_days(n: int, max_nodes: int = 500000):
     k = (m - 1) // 2
     bs, cs = _ROTATIONAL_STARTERS.get(m, (range(1, k + 1), range(2, 2 * k + 1, 2)))
     try:
-        D = _rotational_day_orbit(m, bs, cs, max_nodes)
+        D = _rotational_day_orbit(m, bs, cs)
     except SearchExhaustedError as exc:
         raise SearchExhaustedError(
             f"KTS({n}): the rotational starter search stopped after {exc.nodes} "
-            f"exact-cover nodes, over its budget of {max_nodes} nodes",
-            nodes=exc.nodes, budget=max_nodes) from exc
+            f"exact-cover nodes, over its budget of {exc.budget} nodes",
+            nodes=exc.nodes, budget=exc.budget) from exc
     if D is None:
         raise SearchExhaustedError(
             f"KTS({n}): a complete exact-cover search found no rotational starter "

@@ -245,9 +245,7 @@ class TrianglePairReport(namedtuple("TrianglePairReport", "pairs_checked counter
         return not self.counterexamples
 
     def as_dict(self):
-        return {"pairs_checked": self.pairs_checked,
-                "counterexamples": [list(map(list, ce)) for ce in self.counterexamples],
-                "passes": self.passes}
+        return {**self._asdict(), "passes": self.passes}
 
 
 def triangle_pair_check(ps: PointSet) -> TrianglePairReport:

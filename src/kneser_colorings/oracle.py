@@ -37,9 +37,7 @@ class OracleResult(namedtuple("OracleResult", "param value nodes_explored second
     __slots__ = ()
 
     def as_dict(self):
-        return {"param": self.param, "value": self.value,
-                "nodes_explored": self.nodes_explored,
-                "seconds": round(self.seconds, 6)}
+        return {**self._asdict(), "seconds": round(self.seconds, 6)}
 
 
 def check_cap(vertex_count, cap, what):
@@ -120,8 +118,10 @@ def exact_chromatic(g, cap: int = CHI_CAP) -> OracleResult:
     return OracleResult("chi", l, nodes, time.perf_counter() - t0)
 
 
-def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
+def _complete_max(g, cap: int, param: str) -> OracleResult:
+    """The most classes of a complete coloring of g, proper for param "alpha"."""
     check_cap(g.vertex_count, cap, f"exact_{param}")
+    proper = param == "alpha"
     t0 = time.perf_counter()
     adj = g.adjacency_bitsets()
     V = len(adj)
@@ -194,12 +194,12 @@ def _complete_max(g, proper: bool, cap: int, param: str) -> OracleResult:
 
 def exact_achromatic(g, cap: int = SEARCH_CAP) -> OracleResult:
     """Maximum proper complete coloring size."""
-    return _complete_max(g, proper=True, cap=cap, param="alpha")
+    return _complete_max(g, cap, "alpha")
 
 
 def exact_pseudoachromatic(g, cap: int = SEARCH_CAP) -> OracleResult:
     """Maximum complete coloring size (properness dropped)."""
-    return _complete_max(g, proper=False, cap=cap, param="psi")
+    return _complete_max(g, cap, "psi")
 
 
 def exact_grundy(g, cap: int = SEARCH_CAP) -> OracleResult:

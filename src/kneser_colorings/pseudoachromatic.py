@@ -133,16 +133,10 @@ def kneser_matching_coloring(k: int) -> Coloring:
     m = comb(2 * k - 1, k - 1)
     base = matching_coloring(m)
     g = build_kneser(2 * k, k)
-    reps = [v for v in g.vertices if 1 in v]
-    color = {}
-    for ci, cls in enumerate(base.classes):
-        for vlab in cls:
-            color[vlab] = ci
     full = set(range(1, 2 * k + 1))
-    classes = [[] for _ in base.classes]
-    for t, rep_v in enumerate(reps):
-        comp = tuple(sorted(full - set(rep_v)))
-        classes[color[t + 1]].append(rep_v)
-        classes[color[t + 1 + m]].append(comp)
-    coloring = Coloring(g, tuple(tuple(sorted(cls)) for cls in classes))
+    # matching vertex t is the t-th vertex through point 1, t + m its complement
+    vertex = {}
+    for t, v in enumerate((v for v in g.vertices if 1 in v), 1):
+        vertex[t], vertex[t + m] = v, tuple(sorted(full - set(v)))
+    coloring = Coloring(g, tuple(tuple(sorted(vertex[t] for t in cls)) for cls in base.classes))
     return certify(coloring, {"proper", "complete"})

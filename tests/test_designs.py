@@ -138,9 +138,10 @@ def test_kts15_is_a_collineation_orbit_without_search(monkeypatch):
     assert all(a ^ b == c for a, b, c in res.design.blocks)  # the lines of PG(3,2)
 
 
-def test_kts_search_budget_is_typed():
+def test_kts_search_budget_is_typed(monkeypatch):
+    monkeypatch.setattr(designs, "KTS_BUDGET", 10)
     with pytest.raises(SearchExhaustedError, match="budget of 10 ") as info:
-        designs._rotational_kts_days(33, max_nodes=10)
+        designs._rotational_kts_days(33)
     assert "stopped after 11 exact-cover nodes" in str(info.value)
     assert (info.value.nodes, info.value.budget) == (11, 10)
 
@@ -151,20 +152,24 @@ def test_kts_complete_search_without_starter_says_so(monkeypatch):
         designs._rotational_kts_days(21)
 
 
-def test_kts51_starter_search_order_is_pinned():
+def test_kts51_starter_search_order_is_pinned(monkeypatch):
     """KTS(51)'s starter search takes exactly 83 exact-cover nodes."""
-    assert designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=83)
+    monkeypatch.setattr(designs, "KTS_BUDGET", 83)
+    assert designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2))
+    monkeypatch.setattr(designs, "KTS_BUDGET", 82)
     with pytest.raises(SearchExhaustedError, match="83 nodes, over its budget of 82"):
-        designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2), max_nodes=82)
+        designs._rotational_day_orbit(17, range(1, 9), range(2, 17, 2))
 
 
-def test_kts21_starter_search_order_is_pinned():
+def test_kts21_starter_search_order_is_pinned(monkeypatch):
     """KTS(21)'s starter search, on the fixed-day starters for m = 7, takes
     exactly 132 exact-cover nodes."""
     starters = designs._ROTATIONAL_STARTERS[7]
-    assert designs._rotational_day_orbit(7, *starters, max_nodes=132)
+    monkeypatch.setattr(designs, "KTS_BUDGET", 132)
+    assert designs._rotational_day_orbit(7, *starters)
+    monkeypatch.setattr(designs, "KTS_BUDGET", 131)
     with pytest.raises(SearchExhaustedError, match="132 nodes, over its budget of 131"):
-        designs._rotational_day_orbit(7, *starters, max_nodes=131)
+        designs._rotational_day_orbit(7, *starters)
 
 
 def _brute_rotational_rows(m, bs, cs):
@@ -205,9 +210,9 @@ def test_rotational_rows_match_brute_force(m, monkeypatch):
     seen = {}
     day_orbit, cover = designs._rotational_day_orbit, designs.exact_cover
 
-    def spy_day_orbit(m, bs, cs, max_nodes):
+    def spy_day_orbit(m, bs, cs):
         seen["starters"] = (bs, cs)
-        return day_orbit(m, bs, cs, max_nodes)
+        return day_orbit(m, bs, cs)
 
     def spy_cover(ncols, rows, max_nodes=None):
         seen["rows"] = rows

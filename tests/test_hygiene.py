@@ -8,6 +8,8 @@ Python itself.  One read by tests alone is code that only tests keep alive,
 so it must be part of the package's API: listed in kneser_colorings.__all__.
 No module imports dataclasses or inspect, so the package's import generates
 no class code and leaves inspect (with ast, dis and tokenize) unloaded.
+JSON is written in four places only: the CLI's one emitter and its error
+document, a coloring certificate and a graph's vertex list.
 """
 import ast
 import subprocess
@@ -114,6 +116,41 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+# module.function (qualified by class) of every json.dump(s) call the package may make
+JSON_WRITERS = {"cli._emit", "cli.main", "colorings.Coloring.to_json",
+                "kneser.KneserGraph.vertices_json"}
+
+
+def _json_writers(tree, module):
+    """module.scope of every reference to a json dump or dumps function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("dump", "dumps")
+                    or isinstance(child, ast.Name) and child.id in ("dump", "dumps")):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_json_is_written_only_by_the_named_writers(path):
+    assert _json_writers(ast.parse(path.read_text()), path.stem) <= JSON_WRITERS
+
+
+def test_detects_a_json_writer():
+    tree = ast.parse("import json\nfrom json import dumps\nTEXT = json.dumps([])\n"
+                     "class R:\n    def doc(self):\n        return dumps({})\n"
+                     "def save(fh):\n    json.dump({}, fh)\ndef load(s):\n    return json.loads(s)\n")
+    assert _json_writers(tree, "mod") == {"mod", "mod.R.doc", "mod.save"}
 
 
 def test_detects_an_unused_import():
