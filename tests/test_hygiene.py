@@ -124,7 +124,7 @@ JSON_WRITERS = {"cli._emit", "cli.main", "colorings.Coloring.to_json",
 
 
 def _json_writers(tree, module):
-    """module.scope of every reference to a json dump or dumps function."""
+    """module.scope of every name or attribute dump or dumps (json's writers) in tree."""
     found = set()
 
     def visit(node, scope):
