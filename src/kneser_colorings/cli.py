@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure (witnesses in the JSON
 output), 2 parameter-domain or usage errors; an error is one JSON document
-on stderr.  Certificates are JSON and name their own graph (verify's
+on stderr.  COMMANDS is the command line: each command's help and flags,
+each flag's type, choices, default and required mark.  parse_invocation
+reads argv against it in one pass, exact flag names only, as --flag value or
+--flag=value; any other argument, a bad value or a missing required flag is
+a usage error (ParameterDomainError), and -h or --help prints the table's
+help to stdout.  Certificates are JSON and name their own graph (verify's
 --graph, --n and --k only cross-check it), bounds tables CSV, graph exports
 DOT or JSON.  _emit writes every primary output but a DOT export to
 stdout: text as given, and a document (a report, a design, an oracle value)
@@ -12,10 +17,11 @@ fixed seed.
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import cache
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import achromatic, bounds as bounds_mod, designs, geometry, oracle as oracle_mod
 from . import pseudoachromatic as pseudo
@@ -29,78 +35,108 @@ _GRAPH_KINDS = {KneserGraph: "kneser", geometry.DisjointnessGraph: "dv", Matchin
 EXPORT_CAP = 1500  # vertices; a DOT export lists up to V^2/2 edges
 
 
-def _add_common(p):
-    p.add_argument("--out", help="write the primary output to this file instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for geom's random layouts (other commands ignore it)")
-
-
-@cache
-def _parser():
-    """The argparse tree, built on the first call (not at import) and reused."""
-    ap = argparse.ArgumentParser(prog="kneserc",
-                                 description="Complete colorings of Kneser graphs: "
-                                             "constructions, certificates, bounds, oracles.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build a certified coloring")
-    c.add_argument("--family", required=True,
-                   choices=["kn2-achromatic", "kn2-psi-lower", "kn2-psi-tight", "matching"])
-    c.add_argument("--n", type=int, help="n for the K(n,2) families")
-    c.add_argument("--m", type=int, help="matching size for --family matching")
-    c.add_argument("--grundy", action="store_true",
-                   help="apply the size-ordered Grundy relabeling and certify it "
-                        "(kn2-achromatic only; exit 1 where it is not Grundy)")
-    _add_common(c)
-
-    v = sub.add_parser("verify", help="verify a coloring certificate file")
-    v.add_argument("--coloring", required=True)
-    v.add_argument("--graph", choices=["kneser", "dv", "matching"],
-                   help="cross-check the certificate's graph kind")
-    v.add_argument("--n", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--checks", default="proper,complete",
-                   help="comma list from proper,complete,grundy,dominating,condition-c")
-    _add_common(v)
-
-    b = sub.add_parser("bounds", help="CSV table of all bound formulas")
-    b.add_argument("--n-max", type=int, required=True)
-    b.add_argument("--k-max", type=int, default=2)
-    _add_common(b)
-
-    o = sub.add_parser("oracle", help="exact exponential-time parameters on K(n,k)")
-    o.add_argument("--param", required=True, choices=["alpha", "psi", "grundy", "chi"])
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--k", type=int, required=True)
-    o.add_argument("--cap", type=int, help="vertex cap override")
-    _add_common(o)
-
-    d = sub.add_parser("design", help="construct or check block designs")
-    d.add_argument("--type", choices=["sts", "kts", "21-5-1", "1f", "1f-c4free"])
-    d.add_argument("--n", type=int, help="points for sts/kts")
-    d.add_argument("--order", type=int, help="order for 1-factorizations")
-    d.add_argument("--check", help="verify a design JSON file instead of constructing")
-    _add_common(d)
-
-    g = sub.add_parser("geom", help="geometric disjointness graphs")
-    g.add_argument("--op", required=True,
-                   choices=["dv-coloring", "thrackle", "dvnk", "triangle-pairs"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, help="subset size for dvnk")
-    g.add_argument("--layout", choices=["convex", "random", "random-convex"],
-                   default="convex")
-    _add_common(g)
-
-    e = sub.add_parser("export", help="export K(n,k) as DOT or JSON")
-    e.add_argument("--format", required=True, choices=["dot", "json"])
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--k", type=int, required=True)
-    _add_common(e)
-    return ap
+# a flag's type is int, str or bool (a switch: False unless given)
+Flag = namedtuple("Flag", "type choices default required help", defaults=(None, None, False, ""))
+_COMMON = {"--out": Flag(str, help="write the primary output to this file instead of stdout"),
+           "--seed": Flag(int, default=0,
+                          help="seed for geom's random layouts (other commands ignore it)")}
+COMMANDS = {  # command -> (help, flags)
+    "construct": ("build a certified coloring", {
+        "--family": Flag(str, ("kn2-achromatic", "kn2-psi-lower", "kn2-psi-tight", "matching"),
+                         required=True),
+        "--n": Flag(int, help="n for the K(n,2) families"),
+        "--m": Flag(int, help="matching size for --family matching"),
+        "--grundy": Flag(bool, default=False,
+                         help="apply the size-ordered Grundy relabeling and certify it "
+                              "(kn2-achromatic only; exit 1 where it is not Grundy)"), **_COMMON}),
+    "verify": ("verify a coloring certificate file", {
+        "--coloring": Flag(str, required=True),
+        "--graph": Flag(str, ("kneser", "dv", "matching"),
+                        help="cross-check the certificate's graph kind"),
+        "--n": Flag(int), "--k": Flag(int),
+        "--checks": Flag(str, default="proper,complete",
+                         help="comma list from proper,complete,grundy,dominating,condition-c"),
+        **_COMMON}),
+    "bounds": ("CSV table of all bound formulas", {
+        "--n-max": Flag(int, required=True), "--k-max": Flag(int, default=2), **_COMMON}),
+    "oracle": ("exact exponential-time parameters on K(n,k)", {
+        "--param": Flag(str, ("alpha", "psi", "grundy", "chi"), required=True),
+        "--n": Flag(int, required=True), "--k": Flag(int, required=True),
+        "--cap": Flag(int, help="vertex cap override"), **_COMMON}),
+    "design": ("construct or check block designs", {
+        "--type": Flag(str, ("sts", "kts", "21-5-1", "1f", "1f-c4free")),
+        "--n": Flag(int, help="points for sts/kts"),
+        "--order": Flag(int, help="order for 1-factorizations"),
+        "--check": Flag(str, help="verify a design JSON file instead of constructing"), **_COMMON}),
+    "geom": ("geometric disjointness graphs", {
+        "--op": Flag(str, ("dv-coloring", "thrackle", "dvnk", "triangle-pairs"), required=True),
+        "--n": Flag(int, required=True), "--k": Flag(int, help="subset size for dvnk"),
+        "--layout": Flag(str, ("convex", "random", "random-convex"), "convex"), **_COMMON}),
+    "export": ("export K(n,k) as DOT or JSON", {
+        "--format": Flag(str, ("dot", "json"), required=True),
+        "--n": Flag(int, required=True), "--k": Flag(int, required=True), **_COMMON}),
+}
+# argparse's reading of a token after a flag: "-", a negative number and a token
+# with a space are values, unless a flag name stands before its "="
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def parse_invocation(argv):
-    return _parser().parse_args(argv)
+    """The plan of one call, read from COMMANDS in one pass: the command and
+    every one of its flags, as given or by default."""
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return SimpleNamespace(command="help", topic=None)
+    if command not in COMMANDS:
+        raise ParameterDomainError(f"kneserc needs a command ({', '.join(COMMANDS)}), "
+                                   f"not {command!r}")
+    flags = COMMANDS[command][1]
+    values = {name: flag.default for name, flag in flags.items()}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(command="help", topic=command)
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise ParameterDomainError(f"{command} has no flag or argument {token!r}")
+        flag = flags[name]
+        if flag.type is bool and eq:
+            raise ParameterDomainError(f"{name} takes no value")
+        if flag.type is not bool and not eq and (
+                (value := next(tokens, None)) is None or value.partition("=")[0] in flags
+                or value.startswith("-") and value != "-" and " " not in value
+                and not _NEGATIVE.match(value)):
+            raise ParameterDomainError(f"{name} needs a value")
+        try:
+            values[name] = value = True if flag.type is bool else flag.type(value)
+        except ValueError:
+            raise ParameterDomainError(f"{name} takes an integer, not {value!r}") from None
+        if flag.choices and value not in flag.choices:
+            raise ParameterDomainError(f"{name} takes one of {', '.join(flag.choices)}, "
+                                       f"not {value!r}")
+    if missing := [name for name, flag in flags.items() if flag.required and values[name] is None]:
+        raise ParameterDomainError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(command=command,
+                           **{name[2:].replace("-", "_"): v for name, v in values.items()})
+
+
+def _cmd_help(plan) -> int:
+    """Print the commands, or one command's flags, from COMMANDS."""
+    if plan.topic is None:
+        text = ("Complete colorings of Kneser graphs: constructions, certificates, bounds, "
+                "oracles.\ncommands (each takes --help):")
+        rows = [(name, line) for name, (line, _) in COMMANDS.items()]
+    else:
+        text, flags, rows = *COMMANDS[plan.topic], []
+        for name, f in flags.items():
+            value = ("" if f.type is bool else " {%s}" % ",".join(f.choices) if f.choices
+                     else f" {f.type.__name__.upper()}")
+            notes = [f.help, "required" if f.required else "",
+                     "" if f.type is bool or f.default is None else f"default {f.default}"]
+            rows.append((name + value, "; ".join(filter(None, notes))))
+    print(f"usage: kneserc {plan.topic or 'COMMAND'} [--flag value | --flag=value ...]", text,
+          *(f"  {head}  {notes}".rstrip() for head, notes in rows), sep="\n")
+    return 0
 
 
 def _emit(plan, doc) -> None:
@@ -296,20 +332,13 @@ def _cmd_export(plan) -> int:
 
 _DISPATCH = {"construct": _cmd_construct, "verify": _cmd_verify, "bounds": _cmd_bounds,
              "oracle": _cmd_oracle, "design": _cmd_design, "geom": _cmd_geom,
-             "export": _cmd_export}
-
-
-def execute(plan) -> int:
-    return _DISPATCH[plan.command](plan)
+             "export": _cmd_export, "help": _cmd_help}
 
 
 def main(argv=None) -> int:
     try:
         plan = parse_invocation(argv if argv is not None else sys.argv[1:])
-    except SystemExit as exc:  # argparse reports usage errors with code 2
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return execute(plan)
+        return _DISPATCH[plan.command](plan)
     except (CertificateError, SearchExhaustedError, ParameterDomainError, OSError,
             UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -5,10 +5,13 @@ The per-pair adjacency references live here, not in the package, which
 builds every adjacency from bitsets.  The geometric ones take `orientation`
 and `convex_hull` from the package: both are single-triple or single-list
 primitives, and neither is the tangent-row path of D_V(n,k) that the
-references check.
+references check.  `reference_parser` is kneserc's argparse tree as it was
+before cli.COMMANDS replaced it, the reference for the table's parse.
 """
+import argparse
 import gc
 from contextlib import contextmanager
+from functools import cache
 from itertools import combinations
 
 from kneser_colorings.geometry import convex_hull, orientation
@@ -200,3 +203,74 @@ def frees_what_it_makes(cls):
         if enabled:
             gc.enable()
     assert not left, [o.name for o in left]
+
+
+def _add_common(p):
+    p.add_argument("--out", help="write the primary output to this file instead of stdout")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for geom's random layouts (other commands ignore it)")
+
+
+@cache
+def reference_parser():
+    """kneserc's argparse tree as it was before the flag table replaced it, kept
+    verbatim as the reference that the table's parse is compared with."""
+    ap = argparse.ArgumentParser(prog="kneserc",
+                                 description="Complete colorings of Kneser graphs: "
+                                             "constructions, certificates, bounds, oracles.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("construct", help="build a certified coloring")
+    c.add_argument("--family", required=True,
+                   choices=["kn2-achromatic", "kn2-psi-lower", "kn2-psi-tight", "matching"])
+    c.add_argument("--n", type=int, help="n for the K(n,2) families")
+    c.add_argument("--m", type=int, help="matching size for --family matching")
+    c.add_argument("--grundy", action="store_true",
+                   help="apply the size-ordered Grundy relabeling and certify it "
+                        "(kn2-achromatic only; exit 1 where it is not Grundy)")
+    _add_common(c)
+
+    v = sub.add_parser("verify", help="verify a coloring certificate file")
+    v.add_argument("--coloring", required=True)
+    v.add_argument("--graph", choices=["kneser", "dv", "matching"],
+                   help="cross-check the certificate's graph kind")
+    v.add_argument("--n", type=int)
+    v.add_argument("--k", type=int)
+    v.add_argument("--checks", default="proper,complete",
+                   help="comma list from proper,complete,grundy,dominating,condition-c")
+    _add_common(v)
+
+    b = sub.add_parser("bounds", help="CSV table of all bound formulas")
+    b.add_argument("--n-max", type=int, required=True)
+    b.add_argument("--k-max", type=int, default=2)
+    _add_common(b)
+
+    o = sub.add_parser("oracle", help="exact exponential-time parameters on K(n,k)")
+    o.add_argument("--param", required=True, choices=["alpha", "psi", "grundy", "chi"])
+    o.add_argument("--n", type=int, required=True)
+    o.add_argument("--k", type=int, required=True)
+    o.add_argument("--cap", type=int, help="vertex cap override")
+    _add_common(o)
+
+    d = sub.add_parser("design", help="construct or check block designs")
+    d.add_argument("--type", choices=["sts", "kts", "21-5-1", "1f", "1f-c4free"])
+    d.add_argument("--n", type=int, help="points for sts/kts")
+    d.add_argument("--order", type=int, help="order for 1-factorizations")
+    d.add_argument("--check", help="verify a design JSON file instead of constructing")
+    _add_common(d)
+
+    g = sub.add_parser("geom", help="geometric disjointness graphs")
+    g.add_argument("--op", required=True,
+                   choices=["dv-coloring", "thrackle", "dvnk", "triangle-pairs"])
+    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--k", type=int, help="subset size for dvnk")
+    g.add_argument("--layout", choices=["convex", "random", "random-convex"],
+                   default="convex")
+    _add_common(g)
+
+    e = sub.add_parser("export", help="export K(n,k) as DOT or JSON")
+    e.add_argument("--format", required=True, choices=["dot", "json"])
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--k", type=int, required=True)
+    _add_common(e)
+    return ap

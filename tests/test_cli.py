@@ -162,8 +162,8 @@ def test_bounds_oversized_k_max_is_the_table_to_n_max_over_2():
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
-    # the argparse tree is built once per process; each call in one process
-    # must behave as the same argv does in a fresh one
+    # every call in one process reads its argv from the same module-level flag
+    # table, and must behave as the same argv does in a fresh one
     from kneser_colorings import cli
 
     achromatic = ["construct", "--family", "kn2-achromatic"]

@@ -7,7 +7,9 @@ somewhere under src/ or tests/; dunder names such as __all__ are read by
 Python itself.  One read by tests alone is code that only tests keep alive,
 so it must be part of the package's API: listed in kneser_colorings.__all__.
 No module imports dataclasses or inspect, so the package's import generates
-no class code and leaves inspect (with ast, dis and tokenize) unloaded.
+no class code and leaves inspect (with ast, dis and tokenize) unloaded; nor
+argparse, so kneserc reads its command line from cli.COMMANDS and importing
+the CLI leaves argparse and gettext unloaded.
 JSON is written in four places only: the CLI's one emitter and its error
 document, a coloring certificate and a graph's vertex list.
 """
@@ -110,12 +112,27 @@ def test_detects_dataclasses_and_inspect_imports():
     assert _imported_modules(tree) == {"inspect", "dataclasses", "os"}
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_argparse(path):
+    assert "argparse" not in _imported_modules(ast.parse(path.read_text()))
+
+
+def _loaded_by_cli_import(names):
+    """Which of names `import kneser_colorings.cli` loads, in a fresh `python -S`."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import kneser_colorings.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({set(names)!r} & set(sys.modules)))")
     run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_cli_import_leaves_argparse_and_gettext_unloaded():
+    assert _loaded_by_cli_import({"argparse", "gettext"}) == "[]\n"
+    assert _loaded_by_cli_import({"json", "argparse"}) == "['json']\n"  # the probe sees imports
 
 
 # module.function (qualified by class) of every json.dump(s) call the package may make
